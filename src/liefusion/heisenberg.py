@@ -87,17 +87,22 @@ class FockSpace:
         self.index = {
             l: {s: i for i, s in enumerate(states)} for l, states in self.levels.items()
         }
+        # memos that live and die with this space
+        self._inner_cache: dict = {}
         self._gram_cache: dict = {}
+        self._gram_inv_cache: dict = {}
+        self._chol_cache: dict = {}
 
     def conformal_offset(self) -> Fraction:
         return self.space.pairing(self.charge, self.charge) / 2
 
-    @lru_cache(maxsize=None)
     def _inner(self, s1, s2) -> Fraction:
         if not s1:
             return ONE if not s2 else ZERO
         if _level(s1) != _level(s2):
             return ZERO
+        if (s1, s2) in self._inner_cache:
+            return self._inner_cache[s1, s2]
         (n, d), c = s1[0]
         rest1 = _strip(s1, (n, d))
         tot = ZERO
@@ -108,6 +113,7 @@ class FockSpace:
             if not q:
                 continue
             tot += c2 * n * q * self._inner(rest1, _strip(s2, (m, e)))
+        self._inner_cache[s1, s2] = tot
         return tot
 
     def gram_block(self, level: int):
@@ -121,6 +127,21 @@ class FockSpace:
                 g[i][j] = g[j][i] = self._inner(states[i], states[j])
         self._gram_cache[level] = g
         return g
+
+    def gram_inverse(self, level: int):
+        """Exact inverse of the level's Gram block."""
+        from . import linalg
+
+        if level not in self._gram_inv_cache:
+            self._gram_inv_cache[level] = linalg.inverse(self.gram_block(level))
+        return self._gram_inv_cache[level]
+
+    def cholesky(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Float Cholesky factor L of the level's Gram block, and inv(L).T."""
+        if level not in self._chol_cache:
+            l = _chol(self.gram_block(level))
+            self._chol_cache[level] = (l, _inv_t(l))
+        return self._chol_cache[level]
 
 
 def _strip(state, mode):
@@ -137,11 +158,13 @@ def _strip(state, mode):
 def _annihilate(space: ChargeSpace, lam, n: int, vec: dict) -> dict:
     """lambda(n) for n > 0 on a vector over Fock states."""
     out: dict = {}
+    pair = [space.pairing(lam, [1 if k == d else 0 for k in range(space.rank)])
+            for d in range(space.rank)]
     for state, coef in vec.items():
         for (m, d), c in state:
             if m != n:
                 continue
-            q = space.pairing(lam, [1 if k == d else 0 for k in range(space.rank)])
+            q = pair[d]
             if not q:
                 continue
             val = coef * c * n * q
@@ -219,10 +242,10 @@ class ModeMatrix:
             lt = l + self.shift
             if not (0 <= lt <= self.cutoff):
                 continue
-            ls = _chol(self.source.gram_block(l))
-            ltm = _chol(self.target.gram_block(lt))
+            ls_inv_t = self.source.cholesky(l)[1]
+            ltm = self.target.cholesky(lt)[0]
             b = np.array([[float(x) for x in row] for row in blk])
-            a[tgt_off[lt]:tgt_off[lt + 1], src_off[l]:src_off[l + 1]] = ltm.T @ b @ _inv_t(ls)
+            a[tgt_off[lt]:tgt_off[lt + 1], src_off[l]:src_off[l + 1]] = ltm.T @ b @ ls_inv_t
         return a
 
 
@@ -246,34 +269,49 @@ def _fock_space(space: ChargeSpace, charge, cutoff: int) -> FockSpace:
 def _mode_family(space: ChargeSpace, alpha, cutoff: int) -> dict:
     """All level-shift components of E^-(a,x) E^+(a,x) in one pass.
 
-    Returns {shift: {src_level: Matrix}}. Every mode of the charged
-    intertwiner reads off one shift, so the exponential-series work is
-    shared across the whole mode range.
+    Returns {shift: {src_level: Matrix}}, one block for every source level
+    whose target level lies in [0, cutoff] (all-zero blocks included).
+    Every mode of the charged intertwiner reads off one shift, so the
+    exponential-series work is shared across the whole mode range.
+
+    The graded pieces U_q: level l -> l - q of E^+ and D_p: level k -> k + p
+    of E^- are built as block matrices from one exponential series per
+    basis state and side. The shift-d block at source level l is then one
+    stacked product over the valid q:
+        [D_{q+d}(l-q) | ...] . [U_q(l); ...]
     """
+    from . import linalg
+
     fk = _fock_space(space, (ZERO,) * space.rank, cutoff)
+    sizes = [len(fk.levels[l]) for l in range(cutoff + 1)]
+    # up[l][q]: U_q at source level l; down[k][p]: D_p at source level k
+    up: list = []
+    down: list = []
+    for k in range(cutoff + 1):
+        u = [[[ZERO] * sizes[k] for _ in range(sizes[k - q])] for q in range(k + 1)]
+        dn = [[[ZERO] * sizes[k] for _ in range(sizes[k + p])]
+              for p in range(cutoff - k + 1)]
+        for ci, state in enumerate(fk.levels[k]):
+            for q, piece in enumerate(_exp_series(space, alpha, {state: ONE}, k, +1)):
+                for st, c in piece.items():
+                    u[q][fk.index[k - q][st]][ci] = c
+            for p, piece in enumerate(
+                    _exp_series(space, alpha, {state: ONE}, cutoff - k, -1)):
+                for st, c in piece.items():
+                    dn[p][fk.index[k + p][st]][ci] = c
+        up.append(u)
+        down.append(dn)
+
     fam: dict = {}
-    for l in range(cutoff + 1):
-        for ci, state in enumerate(fk.levels[l]):
-            us = _exp_series(space, alpha, {state: ONE}, l, +1)
-            for q in range(0, l + 1):
-                if not us[q]:
-                    continue
-                pmax = cutoff - (l - q)
-                ds = _exp_series(space, alpha, us[q], pmax, -1)
-                for p in range(0, pmax + 1):
-                    if not ds[p]:
-                        continue
-                    d = p - q
-                    lt = l + d
-                    blk = fam.setdefault(d, {}).get(l)
-                    if blk is None:
-                        blk = [
-                            [ZERO] * len(fk.levels[l])
-                            for _ in range(len(fk.levels[lt]))
-                        ]
-                        fam[d][l] = blk
-                    for st, c in ds[p].items():
-                        blk[fk.index[lt][st]][ci] += c
+    for d in range(-cutoff, cutoff + 1):
+        for l in range(max(0, -d), min(cutoff, cutoff - d) + 1):
+            qs = range(max(0, -d), l + 1)
+            left = [
+                [x for q in qs for x in down[l - q][q + d][r]]
+                for r in range(sizes[l + d])
+            ]
+            right = [row for q in qs for row in up[l][q]]
+            fam.setdefault(d, {})[l] = linalg.matmul(left, right)
     return fam
 
 
@@ -339,11 +377,10 @@ def _block_adjoint(blocks: dict, fk: FockSpace, n: int, cutoff: int) -> dict:
         lt = l + n
         if not 0 <= lt <= cutoff:
             continue
-        g_src = fk.gram_block(l)
-        g_tgt = fk.gram_block(lt)
         # adjoint: G_src^{-1} B^T G_tgt, mapping level lt -> l
         out[lt] = linalg.matmul(
-            linalg.inverse(g_src), linalg.matmul(linalg.transpose(blk), g_tgt)
+            fk.gram_inverse(l),
+            linalg.matmul(linalg.transpose(blk), fk.gram_block(lt)),
         )
     return out
 
@@ -361,7 +398,7 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int,
         raise ValueError("the anticommutator identity needs (alpha|alpha) = 1")
     from . import linalg
 
-    fk = FockSpace(space, [ZERO] * space.rank, cutoff)
+    fk = _fock_space(space, (ZERO,) * space.rank, cutoff)
     max_mode = cutoff // 2 if max_mode is None else max_mode
     modes = {}
     for k in range(-max_mode - 1, max_mode + 2):
@@ -509,7 +546,7 @@ def adjoint_phase_check(space: ChargeSpace, alpha, beta, cutoff: int) -> dict:
     phase = cmath.exp(1j * math.pi * float(delta))
     neg = [-x for x in alpha]
     apb = [a + b for a, b in zip(alpha, beta)]
-    fk = FockSpace(space, [ZERO] * space.rank, cutoff)
+    fk = _fock_space(space, (ZERO,) * space.rank, cutoff)
 
     worst = 0.0
     checked = 0

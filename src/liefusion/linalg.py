@@ -1,12 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (rows). Everything here is plain
+Matrices are lists of lists of Fraction (rows). Eliminations are plain
 Gaussian elimination with exact pivots; sizes in this package stay small
 enough (a few hundred rows) that fraction growth is not a concern.
+Products run on integer numerators over one common denominator per
+operand, so the inner sums are plain int arithmetic and each entry is
+reduced once.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -27,9 +32,21 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _scaled(a: Matrix) -> tuple[list[list[int]], int]:
+    """(numerators, d) with a == numerators / d, d the lcm of a's denominators."""
+    d = math.lcm(*{x.denominator for row in a for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
+    an, da = _scaled(a)
+    bn, db = _scaled(b)
+    d = da * db
+    cols = list(zip(*bn))
+    return [
+        [Fraction(n, d) if n else ZERO for n in (sum(map(mul, row, col)) for col in cols)]
+        for row in an
+    ]
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:

@@ -15,6 +15,8 @@ from liefusion.heisenberg import (
     heisenberg_mode,
     oscillator_mode,
     _exp_series,
+    _fock_space,
+    _mode_family,
 )
 
 UNIT = ChargeSpace([[1]])
@@ -55,6 +57,63 @@ def test_exp_series_against_hand_expansion():
     lvl2 = ds[2]
     assert lvl2[(((1, 0), 2),)] == Fraction(1, 2)
     assert lvl2[(((2, 0), 1),)] == Fraction(1, 2)
+
+
+def _reference_family(space, alpha, cutoff):
+    """E^-E^+ by the per-state recursion: E^- applied to each E^+ piece."""
+    zero = Fraction(0)
+    fk = _fock_space(space, (zero,) * space.rank, cutoff)
+    fam = {}
+    for l in range(cutoff + 1):
+        for ci, state in enumerate(fk.levels[l]):
+            us = _exp_series(space, alpha, {state: Fraction(1)}, l, +1)
+            for q in range(0, l + 1):
+                if not us[q]:
+                    continue
+                pmax = cutoff - (l - q)
+                ds = _exp_series(space, alpha, us[q], pmax, -1)
+                for p in range(0, pmax + 1):
+                    if not ds[p]:
+                        continue
+                    d = p - q
+                    lt = l + d
+                    blk = fam.setdefault(d, {}).get(l)
+                    if blk is None:
+                        blk = [
+                            [zero] * len(fk.levels[l])
+                            for _ in range(len(fk.levels[lt]))
+                        ]
+                        fam[d][l] = blk
+                    for st, c in ds[p].items():
+                        blk[fk.index[lt][st]][ci] += c
+    return fam
+
+
+@pytest.mark.parametrize("gram, alpha, cutoffs", [
+    ([[1]], (1,), (0, 1, 4, 6, 8)),
+    ([[2]], (1,), (3, 5, 8)),
+    ([[2]], (-1,), (6,)),
+    ([[2]], (Fraction(1, 2),), (6,)),
+    ([[Fraction(1, 2)]], (Fraction(3, 2),), (7,)),
+    ([[1, 0], [0, 1]], (1, -1), (4, 6)),
+    ([[2, -1], [-1, 2]], (Fraction(1, 3), 1), (4,)),
+])
+def test_mode_family_matches_per_state_recursion(gram, alpha, cutoffs):
+    space = ChargeSpace(gram)
+    alpha = tuple(Fraction(x) for x in alpha)
+    for cutoff in cutoffs:
+        fk = _fock_space(space, (Fraction(0),) * space.rank, cutoff)
+        ref = _reference_family(space, alpha, cutoff)
+        fam = _mode_family(space, alpha, cutoff)
+        assert set(ref) <= set(fam)
+        for d in range(-cutoff, cutoff + 1):
+            for l in range(cutoff + 1):
+                if not 0 <= l + d <= cutoff:
+                    assert l not in fam.get(d, {})
+                    continue
+                # a block the recursion never touched is a zero block
+                zero = [[0] * len(fk.levels[l]) for _ in fk.levels[l + d]]
+                assert fam[d][l] == ref.get(d, {}).get(l, zero), (cutoff, d, l)
 
 
 def test_charged_mode_grading_and_lowest_element():
