@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InvariantError
 from .highmod import weight_multiplicity
 from .rootsys import AlgebraId, Weight, build_root_system, dual_weight, inner_product, to_dominant
 from .tensor import TensorQuery, tensor_decomposition, tensor_multiplicity
@@ -184,7 +185,11 @@ def casimir_eigenvalue(lam: Weight, cap: int | None = None) -> Fraction:
     eig = cas[0][0]
     for r in range(dim):
         for s in range(dim):
-            assert cas[r][s] == (eig if r == s else 0), "Casimir is not scalar"
+            if cas[r][s] != (eig if r == s else 0):
+                raise InvariantError(
+                    f"Casimir on L({lam}) is not scalar: entry ({r}, {s}) is "
+                    f"{cas[r][s]}, diagonal {eig}"
+                )
     return eig
 
 
@@ -232,7 +237,12 @@ def fusion_decomposition(lam: Weight, mu: Weight, level: int) -> dict:
         out[key] = out.get(key, 0) + sign * mult
         if not out[key]:
             del out[key]
-    assert all(v > 0 for v in out.values())
+    bad = {k: v for k, v in out.items() if v < 0}
+    if bad:
+        raise InvariantError(
+            f"negative Kac-Walton multiplicities {bad} in L({lam}) x L({mu}) "
+            f"at level {level}"
+        )
     return out
 
 
@@ -275,7 +285,11 @@ def closed_form_fusion(q: FusionQuery) -> int | None:
         return None
     lam, mu, nu = q.lam.finite_part, q.mu.finite_part, q.nu.finite_part
     base = weight_multiplicity(lam, nu - mu)
-    assert base <= 1
+    if base > 1:
+        raise InvariantError(
+            f"closed-form fusion for charge {lam} needs weight multiplicity <= 1, "
+            f"got {base} at {nu - mu}"
+        )
     if mu == nu:
         if tag == "vector-b" and mu.fundamental[-1] == 0:
             return 0

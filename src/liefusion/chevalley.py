@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .errors import InvariantError, VerificationError
 from .highmod import all_weights, DominantCharacter
 from .lattice import sign_cocycle_exponent
 from .rootsys import AlgebraId, Weight, build_root_system
@@ -236,14 +237,6 @@ def unitary_closure(alg: StructureAlgebra, gens) -> list[Element]:
     return ech.basis()
 
 
-class VerificationError(Exception):
-    """A structural verification failed; carries the detailed report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report or {}
-
-
 @dataclass
 class EmbeddedSubalgebra:
     """A unitary subalgebra generated by explicit raising elements."""
@@ -279,7 +272,10 @@ class EmbeddedSubalgebra:
         for i in range(n):
             for j in range(n):
                 val = 2 * m[j][i] / m[j][j]
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise InvariantError(
+                        f"non-integral recovered Cartan entry {val} at ({i}, {j})"
+                    )
                 out[i][j] = int(val)
         return out
 
@@ -605,9 +601,8 @@ def orthogonal_complement_witness() -> dict:
 # classical folded embeddings (used for index and branching facts)
 
 
-def _theta_root(alg: StructureAlgebra, tvec) -> tuple:
-    """Root coordinates of a D-type root given in theta coordinates."""
-    m = alg.rank
+def _theta_root(m: int, tvec) -> tuple:
+    """Exact simple-root coordinates of a D_m weight given in theta coordinates."""
     rows = []
     for i in range(m - 1):
         e = [ZERO] * m
@@ -616,8 +611,7 @@ def _theta_root(alg: StructureAlgebra, tvec) -> tuple:
     last = [ZERO] * m
     last[m - 2] = last[m - 1] = ONE
     rows.append(last)
-    sol = linalg.solve(linalg.transpose(rows), [Fraction(t) for t in tvec])
-    return tuple(int(c) for c in sol)
+    return tuple(linalg.solve(linalg.transpose(rows), [Fraction(t) for t in tvec]))
 
 
 def embed_so_odd(n: int) -> tuple[StructureAlgebra, EmbeddedSubalgebra]:
@@ -643,7 +637,7 @@ def embed_sp(n: int) -> tuple[StructureAlgebra, EmbeddedSubalgebra]:
         t = [0] * m
         for idx, c in pairs:
             t[idx] = c
-        return alg.x(_theta_root(alg, t))
+        return alg.x(tuple(int(c) for c in _theta_root(m, t)))
 
     target = n * (2 * n + 1)
     import itertools
@@ -806,29 +800,14 @@ def spin_chain_pairing_witness() -> dict:
     vector of weight -theta_{3+k} (k=1) or -theta_3 (k=2), w_0, w_1 are
     the two spin highest vectors and w_2 has weight (++--)/2.
     """
-    from .highmod import hom_space_basis, realize_module
+    from .highmod import hom_space_basis
 
     aid = AlgebraId("D", 4)
     half = Fraction(1, 2)
     vec = Weight.from_fundamental(aid, [1, 0, 0, 0])
-    # theta-coordinate weights, converted through the root system
-    rs = build_root_system(aid)
 
     def theta_weight(*coeffs):
-        root = _theta_root_frac(coeffs)
-        return Weight.from_root_coords(aid, root)
-
-    def _theta_root_frac(t):
-        m = 4
-        rows = []
-        for i in range(m - 1):
-            e = [ZERO] * m
-            e[i], e[i + 1] = ONE, -ONE
-            rows.append(e)
-        last = [ZERO] * m
-        last[m - 2] = last[m - 1] = ONE
-        rows.append(last)
-        return linalg.solve(linalg.transpose(rows), [Fraction(x) for x in t])
+        return Weight.from_root_coords(aid, _theta_root(4, coeffs))
 
     sp_plus = Weight.from_fundamental(aid, [0, 0, 1, 0])
     sp_minus = Weight.from_fundamental(aid, [0, 0, 0, 1])

@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     from .affine import HypothesisViolation
-    from .chevalley import VerificationError
+    from .errors import VerificationError
 
     parser = build_parser()
     args = parser.parse_args(argv)

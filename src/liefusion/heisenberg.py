@@ -452,11 +452,6 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int,
     }
 
 
-def _nonzero_block(blocks, l):
-    blk = blocks.get(l)
-    return blk is not None and any(any(row) for row in blk)
-
-
 def _power_norm(a: np.ndarray, tol: float = 1e-8, maxit: int = 5000) -> float:
     """Largest singular value by power iteration on A^T A, deterministic."""
     if a.size == 0:

@@ -1,11 +1,20 @@
 """Weight multiplicities, characters, and exact realizations of irreducibles.
 
-Multiplicities come from the Freudenthal recursion over the dominant cone.
-Module realizations are built layer by layer from the highest weight: the
-spanning vectors F_i(b) of each weight space are filtered through the exact
-contravariant (Shapovalov-style) Gram matrix, whose rank is cross-checked
-against the Freudenthal multiplicity. No orthogonalization is performed;
-every weight block carries its exact rational Gram matrix instead.
+Multiplicities come from the Freudenthal recursion over the dominant cone,
+in integer arithmetic. Module realizations are built layer by layer from
+the highest weight: the spanning vectors F_i(b) of each weight space are
+filtered through the exact contravariant (Shapovalov-style) Gram matrix,
+whose rank is cross-checked against the Freudenthal multiplicity. No
+orthogonalization is performed; every weight block carries its exact
+rational Gram matrix instead.
+
+Per weight f the work is a few block products. For each pair of source
+blocks src_i = f + alpha_i, src_j = f + alpha_j, the block
+M_ij = F_j E_i + delta_ij <src_i, alpha_i^vee> is the matrix of E_i on the
+candidates F_j b. The candidate Gram block is gram[src_i] M_ij, and the new
+E-blocks out of f are columns of M_ij. The form on L(lam) is nondegenerate,
+so the first rows of the rref of the candidate Gram already expand every
+candidate over the pivot ones: those rows are the F-blocks into f.
 """
 from __future__ import annotations
 
@@ -16,8 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .errors import InvariantError
 from .linalg import Matrix, rref
-from .rootsys import AlgebraId, Weight, build_root_system, inner_product, to_dominant
+from .rootsys import AlgebraId, Weight, build_root_system, to_dominant
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,17 +45,25 @@ def _cap() -> int:
 
 @lru_cache(maxsize=None)
 def weyl_dimension(lam: Weight) -> int:
-    """Weyl dimension formula, exact."""
+    """Weyl dimension formula, exact, in integer arithmetic.
+
+    For alpha = sum_j a_j alpha_j, (lam+rho|alpha) = sum_j a_j (f_j+1)
+    (alpha_j|alpha_j)/2 with f the fundamental coordinates of lam. Each
+    factor is scaled by 6 so that s_j = 3 (alpha_j|alpha_j) is an integer;
+    the scale cancels in the ratio.
+    """
     rs = build_root_system(lam.algebra)
-    rho = rs.weyl_vector
-    num = ONE
-    den = ONE
-    lr = lam + rho
+    n = lam.algebra.rank
+    s = [int(3 * rs.gram[j][j]) for j in range(n)]
+    f = lam.fundamental
+    num = den = 1
     for alpha in rs.positive_roots:
-        num *= inner_product(lr, alpha)
-        den *= inner_product(rho, alpha)
-    dim = num / den
-    assert dim.denominator == 1
+        a = [int(c) for c in alpha.coords]
+        num *= sum(a[j] * (f[j] + 1) * s[j] for j in range(n))
+        den *= sum(a[j] * s[j] for j in range(n))
+    dim, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"Weyl dimension of L({lam}) is {Fraction(num, den)}, not an integer")
     return int(dim)
 
 
@@ -99,13 +117,15 @@ def dominant_character(lam: Weight) -> DominantCharacter:
             lam_f[j] - sum(t[k] * cartan[k][j] for k in range(n)) for j in range(n)
         )
 
+    adj, det = rs.cartan_adjugate, rs.cartan_det
+
     def below(dom_f) -> bool:
-        # lam - dom in the positive root cone, checked in root coords
+        # lam - dom in the positive root cone: its root coordinates, times
+        # det, are the pairings of the difference with the adjugate columns
         diff = [lam_f[j] - dom_f[j] for j in range(n)]
-        inv = rs._cartan_inv
         for i in range(n):
-            c = sum(diff[k] * inv[k][i] for k in range(n))
-            if c < 0 or Fraction(c).denominator != 1:
+            c = sum(diff[k] * adj[k][i] for k in range(n))
+            if c < 0 or c % det:
                 return False
         return True
 
@@ -128,8 +148,6 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     # recursion by increasing depth
     dominants.sort(key=lambda ft: sum(ft[1]))
     mults: dict = {lam_f: 1}
-    lr = lam + rho
-    lr_norm6 = int(6 * inner_product(lr, lr))
     rho_ip = [
         int(sum(6 * rho.coords[k] * rs.gram[k][i] for k in range(n))) for i in range(n)
     ]
@@ -170,10 +188,14 @@ def dominant_character(lam: Weight) -> DominantCharacter:
         t_norm = sum(t[i] * sgram[i][j] * t[j] for i in range(n) for j in range(n))
         t_lr = sum(t[i] * (lam_ip[i] + rho_ip[i]) for i in range(n))
         denom = 2 * t_lr - t_norm
-        val = Fraction(2 * total, denom)
-        assert val.denominator == 1 and val >= 0
+        val, rem = divmod(2 * total, denom)
+        if rem or val < 0:
+            raise InvariantError(
+                f"Freudenthal multiplicity {Fraction(2 * total, denom)} of {f} "
+                f"in L({lam}) is not a nonnegative integer"
+            )
         if val:
-            mults[f] = int(val)
+            mults[f] = val
 
     from .rootsys import weyl_orbit
 
@@ -181,7 +203,8 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     for f, m in mults.items():
         dim += m * len(weyl_orbit(Weight.from_fundamental(aid, f)))
     wd = weyl_dimension(lam)
-    assert dim == wd, f"character dimension {dim} != Weyl formula {wd}"
+    if dim != wd:
+        raise InvariantError(f"character dimension {dim} of L({lam}) != Weyl formula {wd}")
     return DominantCharacter(lam, mults, dim)
 
 
@@ -338,27 +361,20 @@ def realize_module(lam: Weight, cap: int | None = None) -> ModuleRealization:
     cartan = rs.cartan_matrix
     weights = all_weights(lam, cap)
 
-    # depth of a weight = height of (lam - mu) in the root basis
-    lam_root = lam.coords
-    inv = rs._cartan_inv
-
-    def root_coords(f):
-        return tuple(
-            sum((f[k] * inv[k][i] for k in range(n)), ZERO) for i in range(n)
-        )
-
-    def depth(f):
-        rc = root_coords(f)
-        d = sum((lam_root[i] - rc[i] for i in range(n)), ZERO)
-        assert d.denominator == 1
-        return int(d)
-
+    # depth of a weight = height of (lam - mu) in the root basis; the row
+    # sums of the Cartan adjugate are det times the heights of the
+    # fundamental weights
+    top = lam.fundamental
+    heights = [sum(row) for row in rs.cartan_adjugate]
+    det = rs.cartan_det
     by_depth: dict[int, list] = {}
     for f in weights:
-        by_depth.setdefault(depth(f), []).append(f)
+        d, rem = divmod(sum((a - b) * h for a, b, h in zip(top, f, heights)), det)
+        if rem:
+            raise InvariantError(f"weight {f} of L({lam}) is off the root lattice coset")
+        by_depth.setdefault(d, []).append(f)
 
     mod = ModuleRealization(lam)
-    top = lam.fundamental
     mod.blocks.append(top)
     mod.block_dim[top] = 1
     mod.gram[top] = [[ONE]]
@@ -371,109 +387,76 @@ def realize_module(lam: Weight, cap: int | None = None) -> ModuleRealization:
         if d == 0:
             continue
         for f in sorted(by_depth[d]):
-            cands = []  # (i, b): F_i applied to basis vector b of block f+alpha_i
-            for i in range(n):
-                src = up(f, i)
-                if src in mod.block_dim:
-                    cands.extend((i, b) for b in range(mod.block_dim[src]))
+            # source blocks f + alpha_i; the candidates are F_i b over the
+            # basis vectors b of each source, in source order
+            srcs = [(i, up(f, i)) for i in range(n)]
+            srcs = [(i, src) for i, src in srcs if src in mod.block_dim]
+            cands = [(i, b) for i, src in srcs for b in range(mod.block_dim[src])]
             target_rank = weights[f]
 
-            # exact Gram of the candidates via the contravariant form:
-            # <F_i b, F_j b'> = <b, F_j(E_i b')> + delta_ij <mu', a_i^vee> <b, b'>
-            nc = len(cands)
-            g = linalg.zeros(nc, nc)
-            for a, (i, b) in enumerate(cands):
-                src_i = up(f, i)
-                for c, (j, b2) in enumerate(cands):
-                    if c < a:
-                        g[a][c] = g[c][a]
-                        continue
-                    src_j = up(f, j)
-                    val = ZERO
-                    # F_j (E_i b2): E_i from src_j upward, then F_j back down
-                    eikey = (i, src_j)
-                    if eikey in mod.e_block:
-                        evec = [mod.e_block[eikey][r][b2] for r in range(mod.block_dim[up(src_j, i)])]
-                        fkey = (j, up(src_j, i))
-                        if fkey in mod.f_block:
-                            fb = mod.f_block[fkey]
-                            w = [
-                                sum((fb[r][k] * evec[k] for k in range(len(evec))), ZERO)
-                                for r in range(mod.block_dim[src_i])
-                            ]
-                            gsrc = mod.gram[src_i]
-                            val += sum(
-                                (gsrc[b][k] * w[k] for k in range(len(w))), ZERO
-                            )
+            # m[i][j] = F_j E_i + delta_ij <src_i, a_i^vee>, the matrix of E_i
+            # on the candidates F_j b'; by contravariance the candidate Gram
+            # block is <F_i b, F_j b'> = (gram[src_i] m[i][j])[b][b']
+            m = {}
+            for i, src_i in srcs:
+                row = m[i] = {}
+                for j, src_j in srcs:
+                    e = mod.e_block.get((i, src_j))
+                    if e is None:
+                        blk = linalg.zeros(mod.block_dim[src_i], mod.block_dim[src_j])
+                    else:
+                        blk = linalg.matmul(mod.f_block[(j, up(src_j, i))], e)
                     if i == j:
-                        val += Fraction(src_i[i]) * mod.gram[src_i][b][b2]
-                    g[a][c] = val
+                        for b in range(len(blk)):
+                            blk[b][b] += src_i[i]
+                    row[j] = blk
 
-            red, pivots = rref([row[:] for row in g])
-            assert len(pivots) == target_rank, (
-                f"Gram rank {len(pivots)} != Freudenthal multiplicity "
-                f"{target_rank} at weight {f} of {lam}"
-            )
-            chosen = pivots  # candidate indices forming the basis
+            # the Gram matrix is symmetric: one product per source row for
+            # the blocks on and right of the diagonal, mirrored below it
+            g = [[] for _ in cands]
+            at = 0
+            for s, (i, src_i) in enumerate(srcs):
+                right = [
+                    [x for j, _ in srcs[s:] for x in m[i][j][b]]
+                    for b in range(mod.block_dim[src_i])
+                ]
+                for b, grow in enumerate(linalg.matmul(mod.gram[src_i], right)):
+                    g[at + b] = [g[c][at + b] for c in range(at)] + grow
+                at += mod.block_dim[src_i]
+
+            red, pivots = rref(g)
+            if len(pivots) != target_rank:
+                raise InvariantError(
+                    f"Gram rank {len(pivots)} != Freudenthal multiplicity "
+                    f"{target_rank} at weight {f} of L({lam}) "
+                    f"({len(cands)} candidates)"
+                )
+            chosen = [cands[c] for c in pivots]
             mod.blocks.append(f)
             mod.block_dim[f] = target_rank
-            gram_f = [[g[a][b] for b in chosen] for a in chosen]
-            mod.gram[f] = gram_f
-            for k, ci in enumerate(chosen):
-                mod.parent[(f, k)] = cands[ci]
+            mod.gram[f] = [[g[a][b] for b in pivots] for a in pivots]
+            for k, cand in enumerate(chosen):
+                mod.parent[(f, k)] = cand
             mod.dim += target_rank
 
-            # expansions: candidate c -> coords over chosen basis
-            expansions = []
-            for c in range(nc):
-                if c in chosen:
-                    x = [ONE if chosen[k] == c else ZERO for k in range(target_rank)]
-                else:
-                    rhs = [g[ci][c] for ci in chosen]
-                    x = linalg.solve(gram_f, rhs) if target_rank else []
-                expansions.append(x)
+            # g = g[:, pivots] red[:r] and gram[f] = g[pivots, pivots] is
+            # nonsingular, so column c of red[:r] is candidate c expanded over
+            # the chosen ones: these columns are the F blocks into f
+            at = 0
+            for i, src in srcs:
+                k = mod.block_dim[src]
+                mod.f_block[(i, src)] = [red[r][at:at + k] for r in range(target_rank)]
+                at += k
 
-            # F blocks into f
-            for i in range(n):
-                src = up(f, i)
-                if src not in mod.block_dim:
-                    continue
-                blk = linalg.zeros(target_rank, mod.block_dim[src])
-                for b in range(mod.block_dim[src]):
-                    ci = cands.index((i, b))
-                    for r in range(target_rank):
-                        blk[r][b] = expansions[ci][r]
-                mod.f_block[(i, src)] = blk
+            # E blocks out of f: E_i (F_j b') is column b' of m[i][j]
+            for i, src in srcs:
+                mod.e_block[(i, f)] = [
+                    [m[i][j][r][b] for j, b in chosen]
+                    for r in range(mod.block_dim[src])
+                ]
 
-            # E blocks out of f: E_i(F_j b2) = F_j(E_i b2) + delta_ij H_i b2
-            for i in range(n):
-                tgt = up(f, i)
-                if tgt not in mod.block_dim:
-                    continue
-                blk = linalg.zeros(mod.block_dim[tgt], target_rank)
-                for k in range(target_rank):
-                    j, b2 = mod.parent[(f, k)]
-                    src_j = up(f, j)
-                    col = [ZERO] * mod.block_dim[tgt]
-                    eikey = (i, src_j)
-                    if eikey in mod.e_block:
-                        upsrc = up(src_j, i)
-                        evec = [mod.e_block[eikey][r][b2] for r in range(mod.block_dim[upsrc])]
-                        fkey = (j, upsrc)
-                        if fkey in mod.f_block:
-                            fb = mod.f_block[fkey]
-                            for r in range(mod.block_dim[tgt]):
-                                col[r] = sum(
-                                    (fb[r][t] * evec[t] for t in range(len(evec))), ZERO
-                                )
-                    if i == j:
-                        for r in range(mod.block_dim[tgt]):
-                            col[r] += Fraction(tgt[i]) * (ONE if r == b2 else ZERO)
-                    for r in range(mod.block_dim[tgt]):
-                        blk[r][k] = col[r]
-                mod.e_block[(i, f)] = blk
-
-    assert mod.dim == dim
+    if mod.dim != dim:
+        raise InvariantError(f"realized dimension {mod.dim} of L({lam}) != Weyl formula {dim}")
     return mod
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import inverse
+from .linalg import det, inverse
 
 ZERO = Fraction(0)
 
@@ -38,7 +38,7 @@ class IntegralLattice:
             raise ValueError("gram matrix must be integral")
         if any(g[i][i] % 2 for i in range(n)):
             raise ValueError(f"lattice is odd: diagonal {[g[i][i] for i in range(n)]}")
-        if _det(g) == 0:
+        if det(g) == 0:
             raise ValueError("gram matrix is degenerate")
 
     @classmethod
@@ -71,26 +71,6 @@ class IntegralLattice:
         """Columns of the inverse Gram: a basis of the dual lattice."""
         inv = inverse([[Fraction(x) for x in row] for row in self.gram])
         return [[inv[i][j] for i in range(self.rank)] for j in range(self.rank)]
-
-
-def _det(g) -> Fraction:
-    n = len(g)
-    m = [[Fraction(x) for x in row] for row in g]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((r for r in range(c, n) if m[r][c]), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        pv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
 
 
 def sign_cocycle_exponent(gram, a, b) -> int:

@@ -111,6 +111,27 @@ def solve(a: Matrix, b: Vector) -> Vector:
     return [red[i][n] for i in range(n)]
 
 
+def det(a) -> Fraction:
+    """Exact determinant of a square matrix of ints or Fractions."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    d = ONE
+    for c in range(n):
+        pr = next((r for r in range(c, n) if m[r][c]), None)
+        if pr is None:
+            return ZERO
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            d = -d
+        pv = m[c][c]
+        d *= pv
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] / pv
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return d
+
+
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
     m = [a[i][:] + identity(n)[i] for i in range(n)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import inverse
+from .linalg import det, inverse
 
 ZERO = Fraction(0)
 
@@ -190,6 +190,11 @@ class RootSystem:
         self._d = d
         self.gram = [[Fraction(cartan[i][j]) * d[j] for j in range(n)] for i in range(n)]
         self._cartan_inv = inverse([[Fraction(x) for x in row] for row in cartan])
+        # integer forms of the inverse: cartan_adjugate = cartan_det * cartan^-1
+        self.cartan_det = int(det(cartan))
+        self.cartan_adjugate = [
+            [int(self.cartan_det * x) for x in row] for row in self._cartan_inv
+        ]
 
         self.simple_roots = [
             Weight(algebra, tuple(Fraction(1 if k == i else 0) for k in range(n)))

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .errors import InvariantError
 from .highmod import all_weights, realize_module
 from .rootsys import AlgebraId, Weight, build_root_system
 
@@ -56,7 +57,9 @@ def tensor_decomposition(lam: Weight, mu: Weight) -> dict:
         out[nu_f] = out.get(nu_f, 0) + sign * m
         if not out[nu_f]:
             del out[nu_f]
-    assert all(v > 0 for v in out.values())
+    bad = {k: v for k, v in out.items() if v < 0}
+    if bad:
+        raise InvariantError(f"negative Klimyk multiplicities {bad} in L({lam}) x L({mu})")
     return out
 
 
@@ -185,6 +188,9 @@ def g2_tensor_graph(height_cap: int) -> TensorGraph:
         for nu_f, m in dec.items():
             key = (int(nu_f[0]), int(nu_f[1]))
             if key in node_set:
-                assert m == 1
+                if m != 1:
+                    raise InvariantError(
+                        f"L({nu_f}) occurs {m} times in L(1,0) x L({mu_f}), expected once"
+                    )
                 edges.add(tuple(sorted((mu_f, key))))
     return TensorGraph(height_cap, tuple(nodes), frozenset(edges))

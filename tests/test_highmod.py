@@ -6,6 +6,7 @@ import pytest
 from liefusion import linalg
 from liefusion.highmod import (
     CapExceeded,
+    ModuleRealization,
     all_weights,
     dominant_character,
     full_character,
@@ -14,7 +15,14 @@ from liefusion.highmod import (
     weight_multiplicity,
     weyl_dimension,
 )
-from liefusion.rootsys import AlgebraId, Weight, build_root_system, dual_weight, weyl_orbit
+from liefusion.rootsys import (
+    AlgebraId,
+    Weight,
+    build_root_system,
+    dual_weight,
+    inner_product,
+    weyl_orbit,
+)
 from liefusion.tensor import TensorQuery, tensor_multiplicity
 
 G2 = AlgebraId("G", 2)
@@ -250,3 +258,197 @@ def test_trivial_module_character():
     zero = W(G2, [0, 0])
     ch = full_character(zero)
     assert ch.dim == 1 and ch.mults == {(0, 0): 1}
+
+
+def _reference_realize(lam: Weight, cap: int) -> ModuleRealization:
+    """The per-candidate builder: one Fraction Gram entry at a time, one
+    linear solve per non-pivot candidate."""
+    zero, one = Fraction(0), Fraction(1)
+    aid = lam.algebra
+    rs = build_root_system(aid)
+    n = aid.rank
+    cartan = rs.cartan_matrix
+    weights = all_weights(lam, cap)
+    inv = rs._cartan_inv
+
+    def depth(f):
+        rc = [sum((f[k] * inv[k][i] for k in range(n)), zero) for i in range(n)]
+        d = sum((lam.coords[i] - rc[i] for i in range(n)), zero)
+        assert d.denominator == 1
+        return int(d)
+
+    by_depth = {}
+    for f in weights:
+        by_depth.setdefault(depth(f), []).append(f)
+
+    mod = ModuleRealization(lam)
+    top = lam.fundamental
+    mod.blocks.append(top)
+    mod.block_dim[top] = 1
+    mod.gram[top] = [[one]]
+    mod.dim = 1
+
+    def up(f, i):
+        return tuple(f[k] + cartan[i][k] for k in range(n))
+
+    def f_of_e(i, j, src_j, b2):
+        # F_j (E_i b2) for b2 in block src_j, in block src_j + a_i - a_j, or None
+        # when E_i kills the block
+        eikey = (i, src_j)
+        if eikey not in mod.e_block:
+            return None
+        upsrc = up(src_j, i)
+        evec = [mod.e_block[eikey][r][b2] for r in range(mod.block_dim[upsrc])]
+        fkey = (j, upsrc)
+        if fkey not in mod.f_block:
+            return None
+        fb = mod.f_block[fkey]
+        return [sum((fb[r][k] * evec[k] for k in range(len(evec))), zero)
+                for r in range(len(fb))]
+
+    for d in sorted(by_depth):
+        if d == 0:
+            continue
+        for f in sorted(by_depth[d]):
+            cands = []
+            for i in range(n):
+                src = up(f, i)
+                if src in mod.block_dim:
+                    cands.extend((i, b) for b in range(mod.block_dim[src]))
+            target_rank = weights[f]
+            nc = len(cands)
+            g = linalg.zeros(nc, nc)
+            for a, (i, b) in enumerate(cands):
+                src_i = up(f, i)
+                for c, (j, b2) in enumerate(cands):
+                    if c < a:
+                        g[a][c] = g[c][a]
+                        continue
+                    val = zero
+                    w = f_of_e(i, j, up(f, j), b2)
+                    if w is not None:
+                        gsrc = mod.gram[src_i]
+                        val += sum((gsrc[b][k] * w[k] for k in range(len(w))), zero)
+                    if i == j:
+                        val += Fraction(src_i[i]) * mod.gram[src_i][b][b2]
+                    g[a][c] = val
+            red, pivots = linalg.rref(g)
+            assert len(pivots) == target_rank
+            chosen = pivots
+            mod.blocks.append(f)
+            mod.block_dim[f] = target_rank
+            gram_f = [[g[a][b] for b in chosen] for a in chosen]
+            mod.gram[f] = gram_f
+            for k, ci in enumerate(chosen):
+                mod.parent[(f, k)] = cands[ci]
+            mod.dim += target_rank
+            expansions = []
+            for c in range(nc):
+                if c in chosen:
+                    x = [one if chosen[k] == c else zero for k in range(target_rank)]
+                else:
+                    x = linalg.solve(gram_f, [g[ci][c] for ci in chosen])
+                expansions.append(x)
+            for i in range(n):
+                src = up(f, i)
+                if src not in mod.block_dim:
+                    continue
+                blk = linalg.zeros(target_rank, mod.block_dim[src])
+                for b in range(mod.block_dim[src]):
+                    ci = cands.index((i, b))
+                    for r in range(target_rank):
+                        blk[r][b] = expansions[ci][r]
+                mod.f_block[(i, src)] = blk
+            for i in range(n):
+                tgt = up(f, i)
+                if tgt not in mod.block_dim:
+                    continue
+                blk = linalg.zeros(mod.block_dim[tgt], target_rank)
+                for k in range(target_rank):
+                    j, b2 = mod.parent[(f, k)]
+                    col = f_of_e(i, j, up(f, j), b2) or [zero] * mod.block_dim[tgt]
+                    if i == j:
+                        col[b2] += Fraction(tgt[i])
+                    for r in range(mod.block_dim[tgt]):
+                        blk[r][k] = col[r]
+                mod.e_block[(i, f)] = blk
+    return mod
+
+
+def test_realize_module_matches_reference():
+    from liefusion.verify import SWEEP_TYPES, weights_under_cap
+
+    cap = 32
+    lams = [
+        W(AlgebraId(s, n), f)
+        for s, n in SWEEP_TYPES
+        for _, f in weights_under_cap(AlgebraId(s, n), cap)
+    ]
+    lams.append(W(AlgebraId("F", 4), [0, 0, 0, 1]))
+    for lam in lams:
+        got, want = realize_module(lam, cap), _reference_realize(lam, cap)
+        for field in ("blocks", "block_dim", "gram", "f_block", "e_block", "parent", "dim"):
+            assert getattr(got, field) == getattr(want, field), (str(lam), field)
+
+
+def _fraction_weyl_dimension(lam):
+    rs = build_root_system(lam.algebra)
+    lr = lam + rs.weyl_vector
+    num = den = Fraction(1)
+    for alpha in rs.positive_roots:
+        num *= inner_product(lr, alpha)
+        den *= inner_product(rs.weyl_vector, alpha)
+    return num / den
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_weyl_dimension_matches_fraction_formula(label):
+    import itertools
+
+    aid = AlgebraId.parse(label)
+    for f in itertools.product(range(3), repeat=aid.rank):
+        if sum(f) > 3:
+            continue
+        lam = W(aid, f)
+        assert weyl_dimension(lam) == _fraction_weyl_dimension(lam), f
+
+
+def test_gram_rank_invariant_survives_optimize():
+    # a corrupted multiplicity table must stop the build with a named error,
+    # also under python -O, and the CLI must map it to exit code 1
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import liefusion.highmod as h
+from liefusion.cli import main
+from liefusion.errors import InvariantError
+from liefusion.rootsys import AlgebraId, Weight
+
+true_weights = h.all_weights
+
+def bumped(lam, cap=None):
+    ws = dict(true_weights(lam, cap))
+    ws[tuple([0] * lam.algebra.rank)] += 1
+    return ws
+
+h.all_weights = bumped
+try:
+    h.realize_module(Weight.from_fundamental(AlgebraId("B", 2), [0, 2]))
+except InvariantError as exc:
+    print("raised:", exc)
+h.realize_module.cache_clear()
+print("exit:", main(["tensor", "--algebra", "B2", "--charge", "0,2",
+                     "--source", "0,1", "--target", "0,1"]))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "raised: Gram rank 2 != Freudenthal multiplicity 3 at weight (0, 0)" in out.stdout
+    assert "exit: 1" in out.stdout
+    assert "verification failed: Gram rank" in out.stderr

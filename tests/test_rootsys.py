@@ -65,6 +65,30 @@ def test_cartan_matrix_reconstruction(aid):
             assert val == rs.cartan_matrix[i][j]
 
 
+# det of the Cartan matrix, the order of the weight lattice modulo the roots
+CARTAN_DET = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2,
+    "C": lambda n: 2,
+    "D": lambda n: 4,
+    "E": lambda n: 9 - n,
+    "F": lambda n: 1,
+    "G": lambda n: 1,
+}
+
+
+@pytest.mark.parametrize("aid", ALL_IDS, ids=str)
+def test_cartan_adjugate(aid):
+    rs = build_root_system(aid)
+    n = aid.rank
+    adj, c, d = rs.cartan_adjugate, rs.cartan_matrix, rs.cartan_det
+    assert d == CARTAN_DET[aid.series](n)
+    for i in range(n):
+        for j in range(n):
+            assert type(adj[i][j]) is int
+            assert sum(adj[i][k] * c[k][j] for k in range(n)) == (d if i == j else 0)
+
+
 def test_invalid_ranks_rejected():
     with pytest.raises(ValueError, match="D requires rank >= 3"):
         AlgebraId("D", 2)
