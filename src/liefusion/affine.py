@@ -118,32 +118,19 @@ def casimir_eigenvalue(lam: Weight, cap: int | None = None) -> Fraction:
     dim = mod.dim
 
     def flat(m):
-        return [x for row in m for x in row]
+        return {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row)}
 
-    basis = []
-    rows = []
-
-    def add(m):
-        v = flat(m)
-        vv = v[:]
-        for lead, r, mat in rows:
-            if vv[lead]:
-                c = vv[lead] / r[lead]
-                vv = [a - c * b for a, b in zip(vv, r)]
-        nz = next((i for i, x in enumerate(vv) if x), None)
-        if nz is None:
-            return False
-        rows.append((nz, vv, m))
-        basis.append(m)
-        return True
-
-    frontier = [m for m in gens if add(m)]
+    # the echelon decides independence; basis keeps the unreduced matrices
+    ech = linalg.Echelon()
+    basis = [m for m in gens if ech.add(flat(m))]
+    frontier = list(basis)
     while frontier:
         new = []
         for a in frontier:
             for b in list(basis):
                 c = _comm(a, b)
-                if add(c):
+                if ech.add(flat(c)):
+                    basis.append(c)
                     new.append(c)
         frontier = new
 

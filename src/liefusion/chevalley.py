@@ -32,12 +32,6 @@ Element = dict  # ('h', i) | ('x', root tuple) -> Fraction
 SIMPLY_LACED = {"A", "D", "E"}
 
 
-def _label_key(lbl):
-    if lbl[0] == "h":
-        return (0, lbl[1], ())
-    return (1, 0, lbl[1])
-
-
 class StructureAlgebra:
     """A simply-laced simple Lie algebra with exact structure constants."""
 
@@ -187,38 +181,9 @@ def nested_bracket(alg: StructureAlgebra, word) -> Element:
 # unitary subalgebras from generators
 
 
-class _Echelon:
-    def __init__(self):
-        self.rows: list[tuple] = []
-
-    def reduce(self, v: Element) -> Element:
-        v = dict(v)
-        for lead, b in self.rows:
-            if lead in v:
-                c = v[lead] / b[lead]
-                for l2, c2 in b.items():
-                    v[l2] = v.get(l2, ZERO) - c * c2
-                    if not v[l2]:
-                        del v[l2]
-        return v
-
-    def add(self, v: Element) -> bool:
-        v = self.reduce(v)
-        if v:
-            self.rows.append((min(v, key=_label_key), v))
-            return True
-        return False
-
-    def contains(self, v: Element) -> bool:
-        return not self.reduce(v)
-
-    def basis(self) -> list[Element]:
-        return [b for _, b in self.rows]
-
-
 def unitary_closure(alg: StructureAlgebra, gens) -> list[Element]:
     """Basis of the Lie span closure of the generators and their stars."""
-    ech = _Echelon()
+    ech = linalg.Echelon()
     live = []
     for g in gens:
         for e in (g, alg.star(g)):
@@ -230,7 +195,7 @@ def unitary_closure(alg: StructureAlgebra, gens) -> list[Element]:
         for a in frontier:
             for b in live:
                 c = alg.bracket(a, b)
-                if c and ech.add(c):
+                if ech.add(c):
                     new.append(c)
         live.extend(new)
         frontier = new
@@ -278,12 +243,6 @@ class EmbeddedSubalgebra:
                     )
                 out[i][j] = int(val)
         return out
-
-    def contains(self, v: Element) -> bool:
-        ech = _Echelon()
-        for b in self.span_basis:
-            ech.add(b)
-        return ech.contains(v)
 
     def coroot_normalized(self, i: int) -> Element:
         """H_{beta_i}, scaled so its eigenvalue on generator i is 2."""
@@ -549,11 +508,10 @@ def dynkin_embedding_g2_f4() -> ExceptionalPair:
             continue
         break
     # joint span must be a direct sum of dimension 66
-    ech = _Echelon()
-    joint = 0
+    ech = linalg.Echelon()
     for v in g2.span_basis + f4.span_basis:
-        if ech.add(v):
-            joint += 1
+        ech.add(v)
+    joint = len(ech.rows)
     report["joint_dim"] = joint
     if joint != 66:
         problems.append(f"joint span has dim {joint}, expected 66")
@@ -670,38 +628,19 @@ def _full_ops(mod):
     )
 
 
-def _span_closure(ops, seed_vecs):
-    rows = []
-
-    def reduce(v):
-        v = v[:]
-        for lead, r in rows:
-            if v[lead]:
-                c = v[lead] / r[lead]
-                v = [a - c * b for a, b in zip(v, r)]
-        return v
-
-    def add(v):
-        v = reduce(v)
-        nz = next((i for i, x in enumerate(v) if x), None)
-        if nz is None:
-            return False
-        rows.append((nz, v))
-        return True
-
-    frontier = []
-    for v in seed_vecs:
-        if add(v):
-            frontier.append(v)
+def _span_closure(ops, seed_vecs) -> linalg.Echelon:
+    """Echelon basis of the span of seed_vecs closed under the matrices ops."""
+    ech = linalg.Echelon()
+    frontier = [v for v in seed_vecs if ech.add(dict(enumerate(v)))]
     while frontier:
         new = []
         for v in frontier:
             for op in ops:
                 w = linalg.matvec(op, v)
-                if any(w) and add(w):
+                if ech.add(dict(enumerate(w))):
                     new.append(w)
         frontier = new
-    return [r for _, r in rows]
+    return ech
 
 
 def zero_weight_split_witness(n: int) -> dict:
@@ -723,8 +662,9 @@ def zero_weight_split_witness(n: int) -> dict:
     fb = fs[: n - 1] + [[[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(fs[n - 1], fs[n])]]
     seed = [ONE] + [ZERO] * (mod.dim - 1)  # highest vector, weight theta_1
     span = _span_closure(eb + fb, [seed])
-    if len(span) != 2 * n + 1:
-        raise VerificationError(f"folded submodule has dim {len(span)}")
+    dim = len(span.rows)
+    if dim != 2 * n + 1:
+        raise VerificationError(f"folded submodule has dim {dim}")
 
     offsets = mod._offsets()
     blocks = list(mod.blocks)
@@ -738,10 +678,10 @@ def zero_weight_split_witness(n: int) -> dict:
 
     # the submodule vector of restricted weight zero
     zero_vecs = []
-    for v in span:
+    for v in span.basis():
         support = {
             f for f in blocks
-            if any(v[offsets[f] + k] for k in range(mod.block_dim[f]))
+            if any(offsets[f] + k in v for k in range(mod.block_dim[f]))
         }
         if support and support <= set(zero_blocks):
             zero_vecs.append((v, support))
@@ -754,26 +694,13 @@ def zero_weight_split_witness(n: int) -> dict:
     for f in blocks:
         if f in zero_blocks:
             continue
-        unit = [ZERO] * mod.dim
-        unit[offsets[f]] = ONE
-        reduced = _reduce_against(span, unit)
-        if any(reduced):
+        if span.reduce({offsets[f]: ONE}):
             whole = False
     return {
-        "submodule_dim": len(span),
+        "submodule_dim": dim,
         "components_both_nonzero": split,
         "nonzero_blocks_match": whole,
     }
-
-
-def _reduce_against(rows, v):
-    v = v[:]
-    for r in rows:
-        lead = next(i for i, x in enumerate(r) if x)
-        if v[lead]:
-            c = v[lead] / r[lead]
-            v = [a - c * b for a, b in zip(v, r)]
-    return v
 
 
 def g2_seven_dim_pairing_witness() -> dict:

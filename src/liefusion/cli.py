@@ -22,7 +22,7 @@ from .affine import (
     large_level_check,
 )
 from .highmod import CapExceeded, weyl_dimension
-from .lattice import IntegralLattice, build_cocycle, lattice_fusion
+from .lattice import Cocycle, IntegralLattice, lattice_fusion
 from .rootsys import AlgebraId, Weight, build_root_system
 from .tensor import (
     TensorQuery,
@@ -192,7 +192,7 @@ def _cmd_lattice(args) -> int:
         gram = json.load(fh)
     lat = IntegralLattice.from_rows(gram)
     if args.op == "cocycle":
-        eps = build_cocycle(lat)
+        eps = Cocycle(lat)
         _emit({"rank": lat.rank, "basis_values": eps.basis_values})
         return 0
     if args.op == "dual":
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--height", type=int, default=4)
     sp.add_argument("--json", action="store_true",
                     help="emit JSON instead of DOT")
-    sp.add_argument("--dot", action="store_true", help="emit DOT (the default)")
     sp.set_defaults(func=_cmd_tensor_graph)
 
     sp = sub.add_parser("fusion", help="closed-form rule vs folding oracle")

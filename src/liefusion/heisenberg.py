@@ -77,11 +77,14 @@ def _states(rank: int, level: int):
 
 
 class FockSpace:
-    """Truncated Fock space at one charge: states graded by level."""
+    """Truncated Fock space over a charge space: states graded by level.
 
-    def __init__(self, space: ChargeSpace, charge, cutoff: int):
+    The states, Gram blocks and their factorizations do not depend on the
+    charge, so every charged sector of one space and cutoff shares one.
+    """
+
+    def __init__(self, space: ChargeSpace, cutoff: int):
         self.space = space
-        self.charge = tuple(Fraction(c) for c in charge)
         self.cutoff = cutoff
         self.levels = {l: _states(space.rank, l) for l in range(cutoff + 1)}
         self.index = {
@@ -92,9 +95,6 @@ class FockSpace:
         self._gram_cache: dict = {}
         self._gram_inv_cache: dict = {}
         self._chol_cache: dict = {}
-
-    def conformal_offset(self) -> Fraction:
-        return self.space.pairing(self.charge, self.charge) / 2
 
     def _inner(self, s1, s2) -> Fraction:
         if not s1:
@@ -261,8 +261,8 @@ def _inv_t(l) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _fock_space(space: ChargeSpace, charge, cutoff: int) -> FockSpace:
-    return FockSpace(space, charge, cutoff)
+def _fock_space(space: ChargeSpace, cutoff: int) -> FockSpace:
+    return FockSpace(space, cutoff)
 
 
 @lru_cache(maxsize=32)
@@ -282,7 +282,7 @@ def _mode_family(space: ChargeSpace, alpha, cutoff: int) -> dict:
     """
     from . import linalg
 
-    fk = _fock_space(space, (ZERO,) * space.rank, cutoff)
+    fk = _fock_space(space, cutoff)
     sizes = [len(fk.levels[l]) for l in range(cutoff + 1)]
     # up[l][q]: U_q at source level l; down[k][p]: D_p at source level k
     up: list = []
@@ -328,8 +328,7 @@ def heisenberg_mode(space: ChargeSpace, alpha, mu, s, cutoff: int) -> ModeMatrix
     if shift_f.denominator != 1:
         raise ValueError(f"mode {s} is off the charge grid for this sector")
     shift = int(shift_f)
-    src = _fock_space(space, mu, cutoff)
-    tgt = _fock_space(space, tuple(a + m for a, m in zip(alpha, mu)), cutoff)
+    fk = _fock_space(space, cutoff)
     boundary = tuple(
         l for l in range(cutoff + 1) if not 0 <= l + shift <= cutoff
     )
@@ -341,10 +340,10 @@ def heisenberg_mode(space: ChargeSpace, alpha, mu, s, cutoff: int) -> ModeMatrix
         lt = l + shift
         if 0 <= lt <= cutoff and l not in blocks:
             blocks[l] = [
-                [ZERO] * len(src.levels[l]) for _ in range(len(tgt.levels[lt]))
+                [ZERO] * len(fk.levels[l]) for _ in range(len(fk.levels[lt]))
             ]
     return ModeMatrix(mu, tuple(a + m for a, m in zip(alpha, mu)),
-                      s, shift, cutoff, blocks, src, tgt, boundary)
+                      s, shift, cutoff, blocks, fk, fk, boundary)
 
 
 def oscillator_mode(space: ChargeSpace, alpha, n: int, cutoff: int) -> dict:
@@ -353,7 +352,7 @@ def oscillator_mode(space: ChargeSpace, alpha, n: int, cutoff: int) -> dict:
     Returns blocks {src_level: Matrix}; the blocks are charge independent.
     """
     alpha = tuple(Fraction(x) for x in alpha)
-    fk = _fock_space(space, (ZERO,) * space.rank, cutoff)
+    fk = _fock_space(space, cutoff)
     fam = _mode_family(space, alpha, cutoff)
     blocks = dict(fam.get(n, {}))
     for l in range(cutoff + 1):
@@ -398,7 +397,7 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int,
         raise ValueError("the anticommutator identity needs (alpha|alpha) = 1")
     from . import linalg
 
-    fk = _fock_space(space, (ZERO,) * space.rank, cutoff)
+    fk = _fock_space(space, cutoff)
     max_mode = cutoff // 2 if max_mode is None else max_mode
     modes = {}
     for k in range(-max_mode - 1, max_mode + 2):
@@ -541,7 +540,7 @@ def adjoint_phase_check(space: ChargeSpace, alpha, beta, cutoff: int) -> dict:
     phase = cmath.exp(1j * math.pi * float(delta))
     neg = [-x for x in alpha]
     apb = [a + b for a, b in zip(alpha, beta)]
-    fk = _fock_space(space, (ZERO,) * space.rank, cutoff)
+    fk = _fock_space(space, cutoff)
 
     worst = 0.0
     checked = 0

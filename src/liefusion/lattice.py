@@ -120,10 +120,6 @@ class Cocycle:
         return self.value(a, b) * self.value(b, a)
 
 
-def build_cocycle(lat: IntegralLattice) -> Cocycle:
-    return Cocycle(lat)
-
-
 class DualCocycle:
     """Phase-valued cocycle on the dual lattice.
 

@@ -1,8 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (rows). Eliminations are plain
-Gaussian elimination with exact pivots; sizes in this package stay small
-enough (a few hundred rows) that fraction growth is not a concern.
+Matrices are lists of lists of Fraction (rows). There are two eliminations,
+both plain Gaussian elimination with exact pivots; sizes in this package
+stay small enough (a few hundred rows) that fraction growth is not a
+concern:
+
+- `rref`, dense reduced row echelon form, under `rank`, `nullspace`,
+  `solve` and `inverse`;
+- `Echelon`, an incremental echelon basis of sparse vectors {key: Fraction},
+  under `det` and the span closures of `chevalley` and `affine`.
+
 Products run on integer numerators over one common denominator per
 operand, so the inner sums are plain int arithmetic and each entry is
 reduced once.
@@ -51,6 +58,40 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def matvec(a: Matrix, v: Vector) -> Vector:
     return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+
+
+class Echelon:
+    """Incremental echelon basis of sparse vectors {key: Fraction}.
+
+    Each kept row leads with its least key. A new vector is reduced against
+    the kept rows in insertion order and kept if anything is left.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple] = []  # (lead key, reduced row)
+
+    def reduce(self, v: dict) -> dict:
+        v = {k: x for k, x in v.items() if x}
+        for lead, b in self.rows:
+            if lead in v:
+                c = v[lead] / b[lead]
+                for k, x in b.items():
+                    y = v.get(k, ZERO) - c * x
+                    if y:
+                        v[k] = y
+                    else:
+                        del v[k]
+        return v
+
+    def add(self, v: dict) -> bool:
+        """Keep v's remainder if it is nonzero; True when it was kept."""
+        v = self.reduce(v)
+        if v:
+            self.rows.append((min(v), v))
+        return bool(v)
+
+    def basis(self) -> list[dict]:
+        return [b for _, b in self.rows]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -112,24 +153,22 @@ def solve(a: Matrix, b: Vector) -> Vector:
 
 
 def det(a) -> Fraction:
-    """Exact determinant of a square matrix of ints or Fractions."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    d = ONE
-    for c in range(n):
-        pr = next((r for r in range(c, n) if m[r][c]), None)
-        if pr is None:
+    """Exact determinant of a square matrix of ints or Fractions.
+
+    Adding the rows to an `Echelon` only subtracts multiples of earlier
+    rows, so the determinant is that of the kept rows: the product of their
+    lead entries times the sign of the permutation of lead columns.
+    """
+    ech = Echelon()
+    for row in a:
+        if not ech.add({c: Fraction(x) for c, x in enumerate(row)}):
             return ZERO
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        pv = m[c][c]
-        d *= pv
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return d
+    leads = [lead for lead, _ in ech.rows]
+    d = ONE
+    for lead, row in ech.rows:
+        d *= row[lead]
+    inversions = sum(x > y for i, x in enumerate(leads) for y in leads[i + 1:])
+    return -d if inversions % 2 else d
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -139,18 +178,3 @@ def inverse(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in red]
-
-
-def solve_general(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b for rectangular a, or None if inconsistent."""
-    if not a:
-        return [] if not any(b) else None
-    nrows, ncols = len(a), len(a[0])
-    m = [a[i][:] + [b[i]] for i in range(nrows)]
-    red, pivots = rref(m)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x

@@ -45,7 +45,7 @@ from .heisenberg import (
     energy_bound_probe,
 )
 from .highmod import all_weights, realize_module, weyl_dimension
-from .lattice import DualCocycle, IntegralLattice, build_cocycle, lattice_fusion
+from .lattice import Cocycle, DualCocycle, IntegralLattice, lattice_fusion
 from .rootsys import AlgebraId, Weight, build_root_system, inner_product
 from .tensor import _criterion_core, _rank_route_core, g2_tensor_graph, tensor_decomposition
 
@@ -368,7 +368,7 @@ def check_lattice_cocycle(report: VerificationReport, seed: int = 7,
     for _ in range(lattices):
         rank = rng.randint(1, 4)
         lat = random_even_lattice(rng, rank)
-        eps = build_cocycle(lat)
+        eps = Cocycle(lat)
         dc = DualCocycle(lat)
         for _ in range(triples):
             a = [rng.randint(-3, 3) for _ in range(rank)]

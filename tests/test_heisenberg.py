@@ -24,14 +24,14 @@ TWO = ChargeSpace([[2]])
 
 
 def test_fock_enumeration_matches_partitions():
-    fk = FockSpace(UNIT, [0], 8)
+    fk = FockSpace(UNIT, 8)
     partition_counts = [1, 1, 2, 3, 5, 7, 11, 15, 22]
     for level, count in enumerate(partition_counts):
         assert len(fk.levels[level]) == count
 
 
 def test_fock_gram_orthogonal_rank_one():
-    fk = FockSpace(TWO, [0], 5)
+    fk = FockSpace(TWO, 5)
     for level in range(6):
         g = fk.gram_block(level)
         for i in range(len(g)):
@@ -44,7 +44,7 @@ def test_fock_gram_orthogonal_rank_one():
 
 def test_fock_gram_rank_two_exact():
     sp = ChargeSpace([[2, -1], [-1, 2]])
-    fk = FockSpace(sp, [0, 0], 3)
+    fk = FockSpace(sp, 3)
     # single oscillators at level 1: <a_i(-1)v, a_j(-1)v> = gram
     g = fk.gram_block(1)
     assert g == [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]]
@@ -62,7 +62,7 @@ def test_exp_series_against_hand_expansion():
 def _reference_family(space, alpha, cutoff):
     """E^-E^+ by the per-state recursion: E^- applied to each E^+ piece."""
     zero = Fraction(0)
-    fk = _fock_space(space, (zero,) * space.rank, cutoff)
+    fk = _fock_space(space, cutoff)
     fam = {}
     for l in range(cutoff + 1):
         for ci, state in enumerate(fk.levels[l]):
@@ -102,7 +102,7 @@ def test_mode_family_matches_per_state_recursion(gram, alpha, cutoffs):
     space = ChargeSpace(gram)
     alpha = tuple(Fraction(x) for x in alpha)
     for cutoff in cutoffs:
-        fk = _fock_space(space, (Fraction(0),) * space.rank, cutoff)
+        fk = _fock_space(space, cutoff)
         ref = _reference_family(space, alpha, cutoff)
         fam = _mode_family(space, alpha, cutoff)
         assert set(ref) <= set(fam)

@@ -7,7 +7,6 @@ from liefusion.lattice import (
     Cocycle,
     DualCocycle,
     IntegralLattice,
-    build_cocycle,
     intertwiner_phase,
     intertwiner_phase_exponent,
     lattice_fusion,
@@ -37,7 +36,7 @@ def test_dual_membership():
 
 def test_rank_one_cocycle_trivial():
     lat = IntegralLattice.from_rows([[2]])
-    eps = build_cocycle(lat)
+    eps = Cocycle(lat)
     assert eps.basis_values == [[1]]
     assert eps.commutator([1], [1]) == 1
     assert eps.value([5], [0]) == 1
@@ -48,7 +47,7 @@ def test_cocycle_identities_random():
     for _ in range(8):
         rank = rng.randint(1, 4)
         lat = random_even_lattice(rng, rank)
-        eps = build_cocycle(lat)
+        eps = Cocycle(lat)
         for _ in range(200):
             a = [rng.randint(-3, 3) for _ in range(rank)]
             b = [rng.randint(-3, 3) for _ in range(rank)]
