@@ -27,7 +27,7 @@ from .rootsys import AlgebraId, Weight, build_root_system
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Element = dict  # ('h', i) | ('x', root tuple) -> Fraction
+Element = dict  # ('h', i) | ('x', root tuple) -> rational (Fraction or int)
 
 SIMPLY_LACED = {"A", "D", "E"}
 
@@ -75,7 +75,7 @@ class StructureAlgebra:
 
         def add(lbl, c):
             if c:
-                out[lbl] = out.get(lbl, ZERO) + c
+                out[lbl] = out.get(lbl, 0) + c
                 if not out[lbl]:
                     del out[lbl]
 
@@ -104,16 +104,16 @@ class StructureAlgebra:
         out: Element = {}
         for lbl, c in u.items():
             if lbl[0] == "h":
-                out[lbl] = out.get(lbl, ZERO) + c
+                out[lbl] = out.get(lbl, 0) + c
             else:
                 r = lbl[1]
                 nr = tuple(-x for x in r)
-                out[("x", nr)] = out.get(("x", nr), ZERO) + c * self.eps(r, nr)
+                out[("x", nr)] = out.get(("x", nr), 0) + c * self.eps(r, nr)
         return out
 
     def inner(self, u: Element, v: Element) -> Fraction:
         """Normalized invariant inner product (real rational elements)."""
-        tot = ZERO
+        tot = 0
         for lbl, c in u.items():
             if lbl[0] == "x":
                 c2 = v.get(lbl)
@@ -130,15 +130,15 @@ class StructureAlgebra:
     def check_jacobi(self, samples: int, rng: random.Random) -> bool:
         labels = self.basis_labels()
         for _ in range(samples):
-            a, b, c = ({lbl: ONE} for lbl in rng.choices(labels, k=3))
+            a, b, c = ({lbl: 1} for lbl in rng.choices(labels, k=3))
             lhs = self.bracket(a, self.bracket(b, c))
             mid = self.bracket(b, self.bracket(a, c))
             rhs = self.bracket(self.bracket(a, b), c)
             total = dict(rhs)
             for lbl, cc in mid.items():
-                total[lbl] = total.get(lbl, ZERO) + cc
+                total[lbl] = total.get(lbl, 0) + cc
             for lbl, cc in lhs.items():
-                total[lbl] = total.get(lbl, ZERO) - cc
+                total[lbl] = total.get(lbl, 0) - cc
             if any(total.values()):
                 return False
         return True
@@ -147,7 +147,7 @@ class StructureAlgebra:
         """([X,Y]|Z) = (Y|[X*,Z]) on random basis triples."""
         labels = self.basis_labels()
         for _ in range(samples):
-            x, y, z = ({lbl: ONE} for lbl in rng.choices(labels, k=3))
+            x, y, z = ({lbl: 1} for lbl in rng.choices(labels, k=3))
             lhs = self.inner(self.bracket(x, y), z)
             rhs = self.inner(y, self.bracket(self.star(x), z))
             if lhs != rhs:

@@ -226,26 +226,23 @@ class ModeMatrix:
     shift: int
     cutoff: int
     blocks: dict            # src level -> exact Matrix (tgt rows x src cols)
-    source: FockSpace
-    target: FockSpace
+    space: FockSpace        # the Fock basis of both the source and the target
     boundary_src_levels: tuple
 
     def float_matrix(self) -> np.ndarray:
         """Dense float matrix in orthonormalized coordinates."""
-        src_sizes = [len(self.source.levels[l]) for l in range(self.cutoff + 1)]
-        tgt_sizes = [len(self.target.levels[l]) for l in range(self.cutoff + 1)]
-        nsrc, ntgt = sum(src_sizes), sum(tgt_sizes)
-        a = np.zeros((ntgt, nsrc))
-        src_off = np.concatenate([[0], np.cumsum(src_sizes)]).astype(int)
-        tgt_off = np.concatenate([[0], np.cumsum(tgt_sizes)]).astype(int)
+        sizes = [len(self.space.levels[l]) for l in range(self.cutoff + 1)]
+        total = sum(sizes)
+        a = np.zeros((total, total))
+        off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
         for l, blk in self.blocks.items():
             lt = l + self.shift
             if not (0 <= lt <= self.cutoff):
                 continue
-            ls_inv_t = self.source.cholesky(l)[1]
-            ltm = self.target.cholesky(lt)[0]
+            ls_inv_t = self.space.cholesky(l)[1]
+            ltm = self.space.cholesky(lt)[0]
             b = np.array([[float(x) for x in row] for row in blk])
-            a[tgt_off[lt]:tgt_off[lt + 1], src_off[l]:src_off[l + 1]] = ltm.T @ b @ ls_inv_t
+            a[off[lt]:off[lt + 1], off[l]:off[l + 1]] = ltm.T @ b @ ls_inv_t
         return a
 
 
@@ -343,7 +340,7 @@ def heisenberg_mode(space: ChargeSpace, alpha, mu, s, cutoff: int) -> ModeMatrix
                 [ZERO] * len(fk.levels[l]) for _ in range(len(fk.levels[lt]))
             ]
     return ModeMatrix(mu, tuple(a + m for a, m in zip(alpha, mu)),
-                      s, shift, cutoff, blocks, fk, fk, boundary)
+                      s, shift, cutoff, blocks, fk, boundary)
 
 
 def oscillator_mode(space: ChargeSpace, alpha, n: int, cutoff: int) -> dict:
@@ -507,7 +504,7 @@ def energy_bound_probe(space: ChargeSpace, alpha, order: int, cutoffs,
             # scale columns by (1 + L0)^{-order} of the source level
             col = 0
             for l in range(cut + 1):
-                width = len(mm.source.levels[l])
+                width = len(mm.space.levels[l])
                 if order:
                     a[:, col:col + width] *= (1.0 + l) ** (-order)
                 col += width

@@ -27,7 +27,7 @@ from functools import lru_cache
 from . import linalg
 from .errors import InvariantError
 from .linalg import Matrix, rref
-from .rootsys import AlgebraId, Weight, build_root_system, to_dominant
+from .rootsys import AlgebraId, Weight, build_root_system, to_dominant, weyl_orbit_fund
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,7 +54,7 @@ def weyl_dimension(lam: Weight) -> int:
     """
     rs = build_root_system(lam.algebra)
     n = lam.algebra.rank
-    s = [int(3 * rs.gram[j][j]) for j in range(n)]
+    s = [rs.gram6[j][j] // 2 for j in range(n)]
     f = lam.fundamental
     num = den = 1
     for alpha in rs.positive_roots:
@@ -93,17 +93,15 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     aid = lam.algebra
     rs = build_root_system(aid)
     n = aid.rank
-    rho = rs.weyl_vector
     cartan = rs.cartan_matrix
     from .rootsys import _reduce_to_dominant
 
-    # scaled gram: 6 * (.|.) is integral for every simple type
-    sgram = [[int(6 * rs.gram[i][j]) for j in range(n)] for i in range(n)]
+    # all inner products are carried scaled by 6, as in gram6
+    sgram = rs.gram6
     lam_f = tuple(int(x) for x in lam.fundamental)
-    # (lam|e_i) scaled: lam expressed against the root basis
-    lam_ip = [
-        int(sum(6 * lam.coords[k] * rs.gram[k][i] for k in range(n))) for i in range(n)
-    ]
+    # 6 (rho|a_i) = 3 (a_i|a_i), and (lam|a_i) = lam_i (rho|a_i)
+    rho_ip = [sgram[i][i] // 2 for i in range(n)]
+    lam_ip = [lam_f[i] * rho_ip[i] for i in range(n)]
 
     # saturated diagram: BFS over integer depth vectors t (mu = lam - t),
     # keeping points whose dominant representative stays under lam
@@ -148,17 +146,14 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     # recursion by increasing depth
     dominants.sort(key=lambda ft: sum(ft[1]))
     mults: dict = {lam_f: 1}
-    rho_ip = [
-        int(sum(6 * rho.coords[k] * rs.gram[k][i] for k in range(n))) for i in range(n)
-    ]
     # per positive root: integer root coords, (e_i|a) scaled, (a|a) scaled
     pos_data = []
     for a in rs.positive_roots:
         ac = [int(x) for x in a.coords]
         galpha = [sum(sgram[i][j] * ac[j] for j in range(n)) for i in range(n)]
         a_norm = sum(ac[i] * galpha[i] for i in range(n))
-        a_lam = sum(lam.coords[i] * galpha[i] for i in range(n))
-        pos_data.append((ac, galpha, a_norm, int(a_lam)))
+        a_lam = sum(ac[i] * lam_ip[i] for i in range(n))
+        pos_data.append((ac, galpha, a_norm, a_lam))
 
     pos_data = [
         (
@@ -197,11 +192,9 @@ def dominant_character(lam: Weight) -> DominantCharacter:
         if val:
             mults[f] = val
 
-    from .rootsys import weyl_orbit
-
     dim = 0
     for f, m in mults.items():
-        dim += m * len(weyl_orbit(Weight.from_fundamental(aid, f)))
+        dim += m * len(weyl_orbit_fund(aid, f))
     wd = weyl_dimension(lam)
     if dim != wd:
         raise InvariantError(f"character dimension {dim} of L({lam}) != Weyl formula {wd}")
@@ -228,12 +221,10 @@ def full_character(lam: Weight, cap: int | None = None) -> DominantCharacter:
 
 @lru_cache(maxsize=None)
 def _all_weights_raw(lam: Weight) -> dict:
-    from .rootsys import weyl_orbit
-
     char = dominant_character(lam)
     out = {}
     for f, m in char.mults.items():
-        for g in weyl_orbit(Weight.from_fundamental(lam.algebra, f)):
+        for g in weyl_orbit_fund(lam.algebra, f):
             out[g] = m
     return out
 

@@ -4,6 +4,12 @@ Lattice vectors are coordinate vectors over a fixed basis of the lattice;
 integer coordinates mean lattice membership, and dual-lattice vectors have
 rational coordinates pairing integrally with the basis. Unit-modulus phases
 are carried exactly as rational exponents t standing for e^{i pi t}.
+
+Bilinear forms are carried as integer matrices over one fixed denominator
+(1 for the Gram matrix, the lcm of the entries' denominators for the dual
+cocycle's forms). A rational vector is scaled to integers over the lcm of
+its denominators, so every pairing is an integer sum and one Fraction per
+result; lattice vectors with int coordinates need no scaling at all.
 """
 from __future__ import annotations
 
@@ -11,8 +17,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .linalg import det, inverse
+from .linalg import det, int_bilinear, inverse, matmul, scaled, scaled_vector
 
 ZERO = Fraction(0)
 
@@ -50,22 +57,14 @@ class IntegralLattice:
         return len(self.gram)
 
     def pairing(self, a, b) -> Fraction:
-        n = self.rank
-        return sum(
-            (Fraction(a[i]) * self.gram[i][j] * Fraction(b[j]) for i in range(n) for j in range(n)),
-            ZERO,
-        )
+        return _bilinear(self.gram, 1, a, b)
 
     def contains(self, v) -> bool:
-        return all(Fraction(x).denominator == 1 for x in v)
+        return all(type(x) is int or x.denominator == 1 for x in v)
 
     def dual_contains(self, v) -> bool:
-        n = self.rank
-        for i in range(n):
-            p = sum((Fraction(v[k]) * self.gram[k][i] for k in range(n)), ZERO)
-            if p.denominator != 1:
-                return False
-        return True
+        v, d = scaled_vector(v)
+        return all(sum(map(mul, v, col)) % d == 0 for col in zip(*self.gram))
 
     def dual_basis(self) -> list[list[Fraction]]:
         """Columns of the inverse Gram: a basis of the dual lattice."""
@@ -131,38 +130,32 @@ class DualCocycle:
     def __init__(self, lat: IntegralLattice):
         self.lattice = lat
         n = lat.rank
-        q = [[Fraction(x) for x in row] for row in lat.gram]
-        r = [[Fraction(q[i][j]) if i < j else (-Fraction(q[i][j]) if i > j else ZERO)
-              for j in range(n)] for i in range(n)]
-        qinv = inverse(q)
-        t = _mat3(qinv, r, qinv)
+        q = lat.gram
+        r = [[q[i][j] if i < j else (-q[i][j] if i > j else 0) for j in range(n)]
+             for i in range(n)]
+        qinv = inverse([[Fraction(x) for x in row] for row in q])
+        t = matmul(matmul(qinv, r), qinv)
         s = [[t[i][j] if i > j else ZERO for j in range(n)] for i in range(n)]
-        self._w = _mat3(q, s, q)
+        # both forms are integer matrices over a fixed denominator (r's is 1)
+        self._w, self._w_den = scaled(matmul(matmul(q, s), q))
         self._r = r
 
     def exponent(self, x, y) -> Fraction:
         """t with eps(x, y) = e^{i pi t}, reduced mod 2."""
-        return _bilinear(self._w, x, y) % 2
+        return _bilinear(self._w, self._w_den, x, y) % 2
 
     def value(self, x, y) -> complex:
         return phase_value(self.exponent(x, y))
 
     def commutator_exponent(self, x, y) -> Fraction:
-        return _bilinear(self._r, x, y) % 2
+        return _bilinear(self._r, 1, x, y) % 2
 
 
-def _mat3(a, b, c):
-    from .linalg import matmul
-
-    return matmul(matmul(a, b), c)
-
-
-def _bilinear(m, x, y) -> Fraction:
-    n = len(m)
-    return sum(
-        (Fraction(x[i]) * m[i][j] * Fraction(y[j]) for i in range(n) for j in range(n)),
-        ZERO,
-    )
+def _bilinear(m, den, x, y) -> Fraction:
+    """x (m / den) y^T for an integer matrix m and rational vectors x, y."""
+    x, dx = scaled_vector(x)
+    y, dy = scaled_vector(y)
+    return Fraction(int_bilinear(m, x, y), den * dx * dy)
 
 
 def lattice_fusion(lat: IntegralLattice, lam0, mu0, nu0) -> int:

@@ -39,15 +39,28 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def _scaled(a: Matrix) -> tuple[list[list[int]], int]:
+def scaled(a: Matrix) -> tuple[list[list[int]], int]:
     """(numerators, d) with a == numerators / d, d the lcm of a's denominators."""
     d = math.lcm(*{x.denominator for row in a for x in row})
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
+def scaled_vector(v) -> tuple[list[int], int]:
+    """(numerators, d) with v == numerators / d; all-int vectors pass as is."""
+    if all(type(x) is int for x in v):
+        return v, 1
+    d = math.lcm(*{x.denominator for x in v})
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def int_bilinear(m, x, y) -> int:
+    """x m y^T for an integer matrix m and integer vectors x, y."""
+    return sum(c * sum(map(mul, row, y)) for c, row in zip(x, m) if c)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    an, da = _scaled(a)
-    bn, db = _scaled(b)
+    an, da = scaled(a)
+    bn, db = scaled(b)
     d = da * db
     cols = list(zip(*bn))
     return [

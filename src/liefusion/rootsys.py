@@ -6,6 +6,14 @@ long roots have squared length 2. The Cartan matrix follows
 ``cartan[i][j] = 2(a_i|a_j)/(a_j|a_j)``, so a weight's pairing against the
 j-th simple coroot is the j-th entry of its fundamental-coordinate vector.
 
+The inner product is carried as integers over one fixed denominator, never
+as a matrix of Fractions. On simple-root coordinates it is
+``gram6 = 6 (a_i|a_j)``, integral for every simple type. On
+fundamental coordinates it is ``form / form_den`` with
+``form = 6 det(C) C^-1 D`` and ``form_den = 6 det(C)``, where D holds the
+half square lengths (a_j|a_j)/2; `inner_product` sums integers and builds
+one Fraction per result.
+
 For G2 the first simple root is short and the second is long; the highest
 root is then the second fundamental weight.
 """
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import det, inverse
+from .linalg import det, int_bilinear, inverse, scaled_vector
 
 ZERO = Fraction(0)
 
@@ -188,13 +196,17 @@ class RootSystem:
         cartan, d = _cartan_and_lengths(algebra)
         self.cartan_matrix = cartan
         self._d = d
-        self.gram = [[Fraction(cartan[i][j]) * d[j] for j in range(n)] for i in range(n)]
+        # 6 d_j is an integer (d_j is 1, 1/2 or 1/3)
+        d6 = [int(6 * x) for x in d]
+        self.gram6 = [[cartan[i][j] * d6[j] for j in range(n)] for i in range(n)]
         self._cartan_inv = inverse([[Fraction(x) for x in row] for row in cartan])
         # integer forms of the inverse: cartan_adjugate = cartan_det * cartan^-1
         self.cartan_det = int(det(cartan))
         self.cartan_adjugate = [
             [int(self.cartan_det * x) for x in row] for row in self._cartan_inv
         ]
+        self.form = [[self.cartan_adjugate[i][j] * d6[j] for j in range(n)] for i in range(n)]
+        self.form_den = 6 * self.cartan_det
 
         self.simple_roots = [
             Weight(algebra, tuple(Fraction(1 if k == i else 0) for k in range(n)))
@@ -237,15 +249,10 @@ class RootSystem:
     def _find_highest_root(self) -> Weight:
         n = self.algebra.rank
         for r in self.positive_roots:
-            fund = [
-                sum((r.coords[i] * self.cartan_matrix[i][j] for i in range(n)), ZERO)
-                for j in range(n)
-            ]
-            norm = sum(
-                (r.coords[i] * self.gram[i][j] * r.coords[j] for i in range(n) for j in range(n)),
-                ZERO,
-            )
-            if all(f >= 0 for f in fund) and norm == 2:
+            c = [int(x) for x in r.coords]
+            fund = [sum(c[i] * self.cartan_matrix[i][j] for i in range(n)) for j in range(n)]
+            norm = int_bilinear(self.form, fund, fund)  # form_den * (r|r)
+            if all(f >= 0 for f in fund) and norm == 2 * self.form_den:
                 return r
         raise AssertionError("no dominant long root found")
 
@@ -256,11 +263,6 @@ class RootSystem:
         ) | frozenset(
             tuple(-int(c) for c in r.coords) for r in self.positive_roots
         )
-
-    def coroot_pairing(self, w: Weight, j: int) -> Fraction:
-        """<w, a_j^vee>."""
-        n = self.algebra.rank
-        return sum((w.coords[i] * self.cartan_matrix[i][j] for i in range(n)), ZERO)
 
 
 @lru_cache(maxsize=None)
@@ -309,11 +311,9 @@ def inner_product(lam: Weight, mu: Weight) -> Fraction:
     """Normalized invariant inner product of two weights."""
     lam._check(mu)
     rs = build_root_system(lam.algebra)
-    n = lam.algebra.rank
-    return sum(
-        (lam.coords[i] * rs.gram[i][j] * mu.coords[j] for i in range(n) for j in range(n)),
-        ZERO,
-    )
+    f, df = scaled_vector(lam.fundamental)
+    g, dg = scaled_vector(mu.fundamental)
+    return Fraction(int_bilinear(rs.form, f, g), rs.form_den * df * dg)
 
 
 def to_dominant(lam: Weight) -> tuple[Weight, int, int]:
@@ -337,10 +337,13 @@ def dual_weight(lam: Weight) -> Weight:
 
 def weyl_orbit(lam: Weight) -> set[tuple[Fraction, ...]]:
     """All fundamental-coordinate tuples in the Weyl orbit of lam."""
-    rs = build_root_system(lam.algebra)
-    n = lam.algebra.rank
-    cartan = rs.cartan_matrix
-    start = lam.fundamental
+    return weyl_orbit_fund(lam.algebra, lam.fundamental)
+
+
+def weyl_orbit_fund(algebra: AlgebraId, start: tuple) -> set[tuple]:
+    """The Weyl orbit of a fundamental-coordinate tuple, walked on the tuples."""
+    n = algebra.rank
+    cartan = build_root_system(algebra).cartan_matrix
     seen = {start}
     frontier = [start]
     while frontier:

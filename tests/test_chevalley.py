@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liefusion.chevalley import (
     EmbeddedSubalgebra,
@@ -218,3 +219,33 @@ def test_unitary_closure_of_full_generator_set():
     gens = [alg.x((1, 0)), alg.x((0, 1))]
     basis = unitary_closure(alg, gens)
     assert len(basis) == 8
+
+
+@st.composite
+def _int_elements(draw):
+    alg = build_simply_laced(draw(st.sampled_from(
+        [AlgebraId("A", 2), AlgebraId("D", 4), AlgebraId("E", 6), AlgebraId("E", 8)])))
+    labels = alg.basis_labels()
+
+    def element():
+        picked = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+        return {lbl: draw(st.integers(-3, 3).filter(bool)) for lbl in picked}
+
+    return alg, element(), element()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_elements())
+def test_int_coefficients_match_fraction_coefficients(case):
+    alg, u, v = case
+    fu = {lbl: Fraction(c) for lbl, c in u.items()}
+    fv = {lbl: Fraction(c) for lbl, c in v.items()}
+    br = alg.bracket(u, v)
+    assert all(type(c) is int for c in br.values())
+    assert br == alg.bracket(fu, fv)
+    star = alg.star(u)
+    assert all(type(c) is int for c in star.values())
+    assert star == alg.star(fu)
+    ip = alg.inner(u, v)
+    assert type(ip) is int and ip == alg.inner(fu, fv)
+    assert alg.inner(br, br) == alg.inner(alg.bracket(fu, fv), alg.bracket(fu, fv))

@@ -124,6 +124,8 @@ def test_charged_mode_grading_and_lowest_element():
     assert low.blocks[0][0][0] == 1
     assert low.source_charge == (Fraction(0),)
     assert low.target_charge == (Fraction(1),)
+    # one charge-free Fock basis serves every sector at this cutoff
+    assert low.space is mm.space is _fock_space(TWO, 5)
 
 
 def test_zero_charge_modes_are_identity():

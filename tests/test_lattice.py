@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liefusion import linalg
 from liefusion.lattice import (
     Cocycle,
     DualCocycle,
@@ -154,3 +156,81 @@ def test_phase_coset_mismatch_rejected():
     with pytest.raises(ValueError, match="coset"):
         intertwiner_phase(lat, DualCocycle(lat), [Fraction(1, 2)],
                           [0], [Fraction(1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# the integer forms against the Fraction formulas they replaced
+
+
+def _fraction_bilinear(m, x, y):
+    n = len(m)
+    return sum(
+        (Fraction(x[i]) * m[i][j] * Fraction(y[j]) for i in range(n) for j in range(n)),
+        Fraction(0),
+    )
+
+
+def _fraction_cocycle_forms(lat):
+    """The dual cocycle's exponent and commutator forms as Fraction matrices."""
+    n = lat.rank
+    q = [[Fraction(x) for x in row] for row in lat.gram]
+    r = [[q[i][j] if i < j else (-q[i][j] if i > j else Fraction(0)) for j in range(n)]
+         for i in range(n)]
+    qinv = linalg.inverse(q)
+    t = linalg.matmul(linalg.matmul(qinv, r), qinv)
+    s = [[t[i][j] if i > j else Fraction(0) for j in range(n)] for i in range(n)]
+    return linalg.matmul(linalg.matmul(q, s), q), r
+
+
+@st.composite
+def _lattice_and_vectors(draw):
+    rank = draw(st.integers(1, 4))
+    lat = random_even_lattice(random.Random(draw(st.integers(0, 10**6))), rank)
+    db = lat.dual_basis()
+
+    def lattice_vec():
+        return draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank))
+
+    def dual_vec():
+        ks = lattice_vec()
+        return [sum((k * col[i] for k, col in zip(ks, db)), Fraction(0)) for i in range(rank)]
+
+    vecs = [draw(st.sampled_from((lattice_vec, dual_vec)))() for _ in range(4)]
+    return lat, vecs, lattice_vec()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_and_vectors())
+def test_integer_pairings_match_fraction_formulas(case):
+    lat, (x, y, lam, mu0), u = case
+    w_form, r_form = _fraction_cocycle_forms(lat)
+    dc = DualCocycle(lat)
+    for a, b in ((x, y), (y, x), (lam, mu0), (u, lam)):
+        p = lat.pairing(a, b)
+        assert type(p) is Fraction and p == _fraction_bilinear(lat.gram, a, b)
+        e = dc.exponent(a, b)
+        assert type(e) is Fraction and e == _fraction_bilinear(w_form, a, b) % 2
+        c = dc.commutator_exponent(a, b)
+        assert type(c) is Fraction and c == _fraction_bilinear(r_form, a, b) % 2
+    # the intertwiner phase: u = mu - mu0 in the lattice, lam and mu0 dual
+    mu = [a + b for a, b in zip(mu0, u)]
+    ref = (_fraction_bilinear(w_form, lam, mu) + _fraction_bilinear(r_form, u, lam)
+           + _fraction_bilinear(lat.gram, u, lam)) % 2
+    assert intertwiner_phase_exponent(lat, dc, lam, mu, mu0) == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_and_vectors())
+def test_membership_matches_fraction_formulas(case):
+    lat, vecs, _ = case
+    n = lat.rank
+    for v in vecs:
+        assert lat.contains(v) == all(Fraction(x).denominator == 1 for x in v)
+        assert lat.dual_contains(v)
+        half = [Fraction(x, 2) for x in v]
+        dual_ref = all(
+            sum((half[k] * lat.gram[k][i] for k in range(n)), Fraction(0)).denominator == 1
+            for i in range(n)
+        )
+        assert lat.dual_contains(half) == dual_ref
+        assert lat.contains(half) == all(x.denominator == 1 for x in half)

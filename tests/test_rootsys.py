@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liefusion.rootsys import (
     AlgebraId,
@@ -87,6 +88,63 @@ def test_cartan_adjugate(aid):
         for j in range(n):
             assert type(adj[i][j]) is int
             assert sum(adj[i][k] * c[k][j] for k in range(n)) == (d if i == j else 0)
+
+
+def _fraction_inner_product(lam, mu):
+    """The Fraction Gram double sum over root coordinates that the integer
+    form replaced, kept as the reference."""
+    rs = build_root_system(lam.algebra)
+    n = lam.algebra.rank
+    gram = [[Fraction(rs.cartan_matrix[i][j]) * rs._d[j] for j in range(n)] for i in range(n)]
+    return sum(
+        (lam.coords[i] * gram[i][j] * mu.coords[j] for i in range(n) for j in range(n)),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("aid", ALL_IDS, ids=str)
+def test_integer_forms(aid):
+    rs = build_root_system(aid)
+    n = aid.rank
+    for i in range(n):
+        ai = rs.simple_roots[i]
+        for j in range(n):
+            assert type(rs.gram6[i][j]) is int and type(rs.form[i][j]) is int
+            assert rs.gram6[i][j] == 6 * inner_product(ai, rs.simple_roots[j])
+            # form / form_den is the form on fundamental coordinates
+            wi, wj = rs.fundamental_weights[i], rs.fundamental_weights[j]
+            assert Fraction(rs.form[i][j], rs.form_den) == _fraction_inner_product(wi, wj)
+    assert rs.form_den == 6 * rs.cartan_det
+
+
+_COORD = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@st.composite
+def _weight_pairs(draw):
+    aid = draw(st.sampled_from(ALL_IDS))
+    n = aid.rank
+    out = []
+    for _ in range(2):
+        coords = draw(st.lists(_COORD, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            out.append(Weight.from_fundamental(aid, coords))
+        else:
+            out.append(Weight.from_root_coords(aid, coords))
+    return tuple(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_weight_pairs())
+def test_inner_product_matches_fraction_gram(pair):
+    lam, mu = pair
+    ip = inner_product(lam, mu)
+    assert type(ip) is Fraction
+    assert ip == _fraction_inner_product(lam, mu)
+    assert ip == inner_product(mu, lam)
 
 
 def test_invalid_ranks_rejected():

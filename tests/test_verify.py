@@ -132,3 +132,8 @@ def test_reduced_full_suite_deterministic():
     data = json.loads(a)
     assumed = [r for r in data["results"] if r["status"] == "assumed"]
     assert len(assumed) == 1
+    # at cutoffs 3/4 the order-1 energy probe's norms still grow between the
+    # two cutoffs, so its trend claim FAILs; it is the only failing claim
+    failed = [r["claim"] for r in data["results"] if r["status"] == "fail"]
+    assert failed == ["energy-bound-order1"]
+    assert data["passed"] is False
