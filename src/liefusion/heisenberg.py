@@ -10,6 +10,28 @@ Mode conventions. The full charged intertwiner uses the standard
 x^{-s-1} expansion, so the mode of index s shifts the oscillator level by
 -s - 1 - (alpha|mu). The bare oscillator operator E^-E^+ is expanded in
 x^{+n}, matching the anticommutator identity it satisfies at (a|a) = 1.
+
+Closed form of E^-(a,x) E^+(a,x). Read the state prod h_e(-n)^{k_{n,e}} as
+the monomial prod x_{n,e}^{k_{n,e}}. E^+ translates each variable,
+x_{n,e} -> x_{n,e} - (a|h_e), and E^- multiplies by exp(a_e x_{n,e} / n)
+(with x = 1; the level shift of a block fixes the power of x). So the entry
+from source counts k to target counts m factorizes over the modes (n, e):
+
+    M[m, k] = prod_{(n,e)} f_{n,e}(k_{n,e}, m_{n,e}),
+    f(k, m) = sum_{j <= min(k, m)} C(k, j) (-(a|h_e))^{k-j} (a_e/n)^{m-j} / (m-j)!
+
+(Frenkel-Lepowsky-Meurman, Vertex Operator Algebras and the Monster, 1988,
+ch. 4; Kac, Vertex Algebras for Beginners, 1998, sec. 5). Each factor is
+kept as an int, scaled by n^m m! den(a_e)^m den((a|h_e))^k, so an entry is
+one int product over the modes, over a row denominator prod n^m m!
+den(a_e)^m of the target state and a column denominator prod
+den((a|h_e))^k of the source state. A block is built on demand per (level
+shift, source level) and held as (numerators, den) over one common den.
+
+Exact blocks, Gram blocks and their inverses are all carried in that scaled
+form; products run on the integer numerators, identities are tested exactly
+against delta * den, and a float is made only for a reported deviation or a
+norm (`n / d` on ints is correctly rounded, so it equals float(Fraction)).
 """
 from __future__ import annotations
 
@@ -20,6 +42,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from . import linalg
+from .errors import InvariantError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -87,16 +112,15 @@ class FockSpace:
         self.space = space
         self.cutoff = cutoff
         self.levels = {l: _states(space.rank, l) for l in range(cutoff + 1)}
-        self.index = {
-            l: {s: i for i, s in enumerate(states)} for l, states in self.levels.items()
-        }
         # memos that live and die with this space
         self._inner_cache: dict = {}
         self._gram_cache: dict = {}
-        self._gram_inv_cache: dict = {}
+        self._scaled_cache: dict = {}
+        self._inverse_cache: dict = {}
         self._chol_cache: dict = {}
 
     def _inner(self, s1, s2) -> Fraction:
+        """Inner product of two states whose oscillators share one mode n."""
         if not s1:
             return ONE if not s2 else ZERO
         if _level(s1) != _level(s2):
@@ -119,29 +143,51 @@ class FockSpace:
     def gram_block(self, level: int):
         if level in self._gram_cache:
             return self._gram_cache[level]
-        states = self.levels[level]
-        k = len(states)
+        # oscillators of different modes n commute past each other, so an
+        # entry is the product over n of the inner products of the n-parts
+        parts = [_mode_parts(state) for state in self.levels[level]]
+        k = len(parts)
         g = [[ZERO] * k for _ in range(k)]
-        for i in range(k):
+        for i, pi in enumerate(parts):
             for j in range(i, k):
-                g[i][j] = g[j][i] = self._inner(states[i], states[j])
+                pj = parts[j]
+                if pi.keys() == pj.keys():
+                    x = ONE
+                    for n, sub in pi.items():
+                        x *= self._inner(sub, pj[n])
+                        if not x:
+                            break
+                    g[i][j] = g[j][i] = x
         self._gram_cache[level] = g
         return g
 
-    def gram_inverse(self, level: int):
-        """Exact inverse of the level's Gram block."""
-        from . import linalg
+    def scaled_gram(self, level: int) -> tuple:
+        """The level's Gram block as (numerators, den)."""
+        if level not in self._scaled_cache:
+            self._scaled_cache[level] = linalg.scaled(self.gram_block(level))
+        return self._scaled_cache[level]
 
-        if level not in self._gram_inv_cache:
-            self._gram_inv_cache[level] = linalg.inverse(self.gram_block(level))
-        return self._gram_inv_cache[level]
+    def scaled_gram_inverse(self, level: int) -> tuple:
+        """Exact inverse of the level's Gram block as (numerators, den)."""
+        if level not in self._inverse_cache:
+            self._inverse_cache[level] = linalg.scaled(
+                linalg.inverse(self.gram_block(level)))
+        return self._inverse_cache[level]
 
     def cholesky(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Float Cholesky factor L of the level's Gram block, and inv(L).T."""
         if level not in self._chol_cache:
-            l = _chol(self.gram_block(level))
+            l = _chol(self.scaled_gram(level))
             self._chol_cache[level] = (l, _inv_t(l))
         return self._chol_cache[level]
+
+
+def _mode_parts(state) -> dict:
+    """{n: the oscillators of mode n} of a state."""
+    parts: dict = {}
+    for item in state:
+        parts.setdefault(item[0][0], []).append(item)
+    return {n: tuple(sub) for n, sub in parts.items()}
 
 
 def _strip(state, mode):
@@ -155,65 +201,131 @@ def _strip(state, mode):
     return tuple(out)
 
 
-def _annihilate(space: ChargeSpace, lam, n: int, vec: dict) -> dict:
-    """lambda(n) for n > 0 on a vector over Fock states."""
-    out: dict = {}
-    pair = [space.pairing(lam, [1 if k == d else 0 for k in range(space.rank)])
-            for d in range(space.rank)]
-    for state, coef in vec.items():
-        for (m, d), c in state:
-            if m != n:
-                continue
-            q = pair[d]
-            if not q:
-                continue
-            val = coef * c * n * q
-            if val:
-                s2 = _strip(state, (m, d))
-                out[s2] = out.get(s2, ZERO) + val
-                if not out[s2]:
-                    del out[s2]
-    return out
+class _ModeFamily:
+    """E^-(a,x) E^+(a,x) for one charge: blocks {(shift, src level)} on demand.
 
-
-def _create(space: ChargeSpace, lam, n: int, vec: dict) -> dict:
-    """lambda(-n) for n > 0."""
-    out: dict = {}
-    lam = [Fraction(x) for x in lam]
-    for state, coef in vec.items():
-        for d in range(space.rank):
-            if not lam[d]:
-                continue
-            items = dict(state)
-            items[(n, d)] = items.get((n, d), 0) + 1
-            s2 = tuple(sorted(items.items()))
-            out[s2] = out.get(s2, ZERO) + coef * lam[d]
-            if not out[s2]:
-                del out[s2]
-    return out
-
-
-def _exp_series(space, lam, vec, pmax, side) -> list[dict]:
-    """Graded pieces of E^-(lam, x) (side=-1) or E^+(lam, x) (side=+1).
-
-    Returns [T_0 v, T_1 v, ...] where T_p is the degree-p coefficient:
-    T_p = (1/p) sum_m c_m T_{p-m} with c_m = lam(-m) resp. -lam(m).
+    Mode i is (n, e) = (i // rank + 1, i % rank). The states of a level over
+    the modes i, i+1, ... are listed by the count c of mode i, c = 1, 2, ...
+    first and c = 0 last, each followed by the states of the rest; that is
+    the sorted order of `_states`. A block over modes i, ... is therefore a
+    grid of sub-blocks over modes i+1, ..., the (m, k) one scaled by the
+    mode-i factor F(k, m), and each sub-block is built once and shared.
+    The blocks do not depend on a cutoff.
     """
-    out = [dict(vec)]
-    for p in range(1, pmax + 1):
-        acc: dict = {}
-        for m in range(1, p + 1):
-            prev = out[p - m]
-            if not prev:
+
+    def __init__(self, space: ChargeSpace, alpha):
+        self.rank = space.rank
+        unit = lambda e: [int(d == e) for d in range(self.rank)]
+        self._a = [(x.numerator, x.denominator) for x in alpha]
+        self._b = [(y.numerator, y.denominator)
+                   for y in (space.pairing(alpha, unit(e)) for e in range(self.rank))]
+        self._factors: dict = {}   # (i, k, m) -> scaled f_{n,e}(k, m)
+        self._dens: dict = {}      # (i, level) -> [(row den, col den)] per state
+        self._scales: dict = {}    # level -> (row scales, row lcm, col scales, col lcm)
+        self._subs: dict = {}      # (i, src level, tgt level) -> int rows, i >= 1
+        self._blocks: dict = {}    # (shift, src level) -> (numerators, den)
+
+    def _mode(self, i: int) -> tuple[int, int]:
+        n, e = divmod(i, self.rank)
+        return n + 1, e
+
+    def _factor(self, i: int, k: int, m: int) -> int:
+        key = (i, k, m)
+        f = self._factors.get(key)
+        if f is None:
+            n, e = self._mode(i)
+            an, ad = self._a[e]
+            bn, bd = self._b[e]
+            f = self._factors[key] = sum(
+                math.comb(k, j) * (-bn) ** (k - j) * bd ** j
+                * an ** (m - j) * (ad * n) ** j * math.perm(m, j)
+                for j in range(min(k, m) + 1)
+            )
+        return f
+
+    def _states_dens(self, i: int, level: int) -> list:
+        """(row den, col den) of each state of the level over modes i, i+1, ..."""
+        if level == 0:
+            return [(1, 1)]
+        key = (i, level)
+        out = self._dens.get(key)
+        if out is None:
+            n, e = self._mode(i)
+            out = []
+            if n <= level:
+                ad = self._a[e][1]
+                bd = self._b[e][1]
+                for c in (*range(1, level // n + 1), 0):
+                    rc = n ** c * math.factorial(c) * ad ** c
+                    cc = bd ** c
+                    out += [(rc * r, cc * s)
+                            for r, s in self._states_dens(i + 1, level - c * n)]
+            self._dens[key] = out
+        return out
+
+    def _sub(self, i: int, ls: int, lt: int) -> list:
+        key = (i, ls, lt)
+        rows = self._subs.get(key)
+        if rows is None:
+            rows = self._subs[key] = self._rows(i, ls, lt)
+        return rows
+
+    def _rows(self, i: int, ls: int, lt: int) -> list:
+        """Int products over modes i, ... of the (level lt) x (level ls) states."""
+        if ls == 0 and lt == 0:
+            return [[1]]
+        n, _ = self._mode(i)
+        width = lambda l: len(self._states_dens(i + 1, l))
+        ks = [k for k in (*range(1, ls // n + 1), 0) if width(ls - k * n)]
+        rows = []
+        for m in (*range(1, lt // n + 1), 0):
+            lt2 = lt - m * n
+            height = width(lt2)
+            if not height:
                 continue
-            if side < 0:
-                term = _create(space, lam, m, prev)
+            parts = []
+            for k in ks:
+                f = self._factor(i, k, m)
+                parts.append((f, self._sub(i + 1, ls - k * n, lt2) if f
+                              else [0] * width(ls - k * n)))
+            for r in range(height):
+                row = []
+                for f, sub in parts:
+                    if not f:
+                        row += sub
+                    elif f == 1:
+                        row += sub[r]
+                    else:
+                        row += [f * x for x in sub[r]]
+                rows.append(row)
+        return rows
+
+    def _level_scales(self, level: int) -> tuple:
+        sc = self._scales.get(level)
+        if sc is None:
+            dens = self._states_dens(0, level)
+            lr = math.lcm(*(r for r, _ in dens))
+            lc = math.lcm(*(c for _, c in dens))
+            sc = self._scales[level] = (
+                [lr // r for r, _ in dens], lr, [lc // c for _, c in dens], lc)
+        return sc
+
+    def block(self, shift: int, level: int) -> tuple[list, int]:
+        """(numerators, den) of the block from `level` to `level + shift`."""
+        key = (shift, level)
+        blk = self._blocks.get(key)
+        if blk is None:
+            rows = self._rows(0, level, level + shift)
+            rs, lr, _, _ = self._level_scales(level + shift)
+            _, _, cs, lc = self._level_scales(level)
+            if lc == 1:
+                nums = [[f * x for x in row] if f != 1 else row
+                        for f, row in zip(rs, rows)]
             else:
-                term = _annihilate(space, [-x for x in lam], m, prev)
-            for s, c in term.items():
-                acc[s] = acc.get(s, ZERO) + c
-        out.append({s: c / p for s, c in acc.items() if c})
-    return out
+                nums = [[f * x * c for x, c in zip(row, cs)]
+                        for f, row in zip(rs, rows)]
+            blk = self._blocks[key] = (nums, lr * lc)
+        return blk
 
 
 @dataclass
@@ -225,7 +337,7 @@ class ModeMatrix:
     mode_index: Fraction
     shift: int
     cutoff: int
-    blocks: dict            # src level -> exact Matrix (tgt rows x src cols)
+    blocks: dict            # src level -> (numerators, den), tgt rows x src cols
     space: FockSpace        # the Fock basis of both the source and the target
     boundary_src_levels: tuple
 
@@ -235,19 +347,18 @@ class ModeMatrix:
         total = sum(sizes)
         a = np.zeros((total, total))
         off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        for l, blk in self.blocks.items():
+        for l, (nums, den) in self.blocks.items():
             lt = l + self.shift
-            if not (0 <= lt <= self.cutoff):
-                continue
             ls_inv_t = self.space.cholesky(l)[1]
             ltm = self.space.cholesky(lt)[0]
-            b = np.array([[float(x) for x in row] for row in blk])
+            b = np.array([[x / den for x in row] for row in nums])
             a[off[lt]:off[lt + 1], off[l]:off[l + 1]] = ltm.T @ b @ ls_inv_t
         return a
 
 
 def _chol(g) -> np.ndarray:
-    m = np.array([[float(x) for x in row] for row in g])
+    nums, den = g
+    m = np.array([[x / den for x in row] for row in nums])
     return np.linalg.cholesky(m) if m.size else np.zeros((0, 0))
 
 
@@ -263,53 +374,9 @@ def _fock_space(space: ChargeSpace, cutoff: int) -> FockSpace:
 
 
 @lru_cache(maxsize=32)
-def _mode_family(space: ChargeSpace, alpha, cutoff: int) -> dict:
-    """All level-shift components of E^-(a,x) E^+(a,x) in one pass.
-
-    Returns {shift: {src_level: Matrix}}, one block for every source level
-    whose target level lies in [0, cutoff] (all-zero blocks included).
-    Every mode of the charged intertwiner reads off one shift, so the
-    exponential-series work is shared across the whole mode range.
-
-    The graded pieces U_q: level l -> l - q of E^+ and D_p: level k -> k + p
-    of E^- are built as block matrices from one exponential series per
-    basis state and side. The shift-d block at source level l is then one
-    stacked product over the valid q:
-        [D_{q+d}(l-q) | ...] . [U_q(l); ...]
-    """
-    from . import linalg
-
-    fk = _fock_space(space, cutoff)
-    sizes = [len(fk.levels[l]) for l in range(cutoff + 1)]
-    # up[l][q]: U_q at source level l; down[k][p]: D_p at source level k
-    up: list = []
-    down: list = []
-    for k in range(cutoff + 1):
-        u = [[[ZERO] * sizes[k] for _ in range(sizes[k - q])] for q in range(k + 1)]
-        dn = [[[ZERO] * sizes[k] for _ in range(sizes[k + p])]
-              for p in range(cutoff - k + 1)]
-        for ci, state in enumerate(fk.levels[k]):
-            for q, piece in enumerate(_exp_series(space, alpha, {state: ONE}, k, +1)):
-                for st, c in piece.items():
-                    u[q][fk.index[k - q][st]][ci] = c
-            for p, piece in enumerate(
-                    _exp_series(space, alpha, {state: ONE}, cutoff - k, -1)):
-                for st, c in piece.items():
-                    dn[p][fk.index[k + p][st]][ci] = c
-        up.append(u)
-        down.append(dn)
-
-    fam: dict = {}
-    for d in range(-cutoff, cutoff + 1):
-        for l in range(max(0, -d), min(cutoff, cutoff - d) + 1):
-            qs = range(max(0, -d), l + 1)
-            left = [
-                [x for q in qs for x in down[l - q][q + d][r]]
-                for r in range(sizes[l + d])
-            ]
-            right = [row for q in qs for row in up[l][q]]
-            fam.setdefault(d, {})[l] = linalg.matmul(left, right)
-    return fam
+def _mode_family(space: ChargeSpace, alpha: tuple) -> _ModeFamily:
+    """The block family of E^-(a,x) E^+(a,x); every cutoff shares it."""
+    return _ModeFamily(space, alpha)
 
 
 def heisenberg_mode(space: ChargeSpace, alpha, mu, s, cutoff: int) -> ModeMatrix:
@@ -325,58 +392,37 @@ def heisenberg_mode(space: ChargeSpace, alpha, mu, s, cutoff: int) -> ModeMatrix
     if shift_f.denominator != 1:
         raise ValueError(f"mode {s} is off the charge grid for this sector")
     shift = int(shift_f)
-    fk = _fock_space(space, cutoff)
     boundary = tuple(
         l for l in range(cutoff + 1) if not 0 <= l + shift <= cutoff
     )
-    fam = _mode_family(space, alpha, cutoff)
-    blocks = {
-        l: blk for l, blk in fam.get(shift, {}).items()
-    }
-    for l in range(cutoff + 1):
-        lt = l + shift
-        if 0 <= lt <= cutoff and l not in blocks:
-            blocks[l] = [
-                [ZERO] * len(fk.levels[l]) for _ in range(len(fk.levels[lt]))
-            ]
     return ModeMatrix(mu, tuple(a + m for a, m in zip(alpha, mu)),
-                      s, shift, cutoff, blocks, fk, boundary)
+                      s, shift, cutoff, oscillator_mode(space, alpha, shift, cutoff),
+                      _fock_space(space, cutoff), boundary)
 
 
 def oscillator_mode(space: ChargeSpace, alpha, n: int, cutoff: int) -> dict:
     """Level-shift-n piece of the bare operator E^-(a,x) E^+(a,x).
 
-    Returns blocks {src_level: Matrix}; the blocks are charge independent.
+    Returns blocks {src_level: (numerators, den)} for every source level
+    whose target lies within the cutoff; they are charge independent.
     """
-    alpha = tuple(Fraction(x) for x in alpha)
-    fk = _fock_space(space, cutoff)
-    fam = _mode_family(space, alpha, cutoff)
-    blocks = dict(fam.get(n, {}))
-    for l in range(cutoff + 1):
-        lt = l + n
-        if 0 <= lt <= cutoff and l not in blocks:
-            blocks[l] = [
-                [ZERO] * len(fk.levels[l]) for _ in range(len(fk.levels[lt]))
-            ]
-    return blocks
+    fam = _mode_family(space, tuple(Fraction(x) for x in alpha))
+    return {l: fam.block(n, l) for l in range(cutoff + 1) if 0 <= l + n <= cutoff}
 
 
-def _block_adjoint(blocks: dict, fk: FockSpace, n: int, cutoff: int) -> dict:
+def _block_adjoint(blocks: dict, fk: FockSpace, n: int) -> dict:
     """Exact Gram adjoint of a level-shift-n block family: shifts by -n.
 
-    The result is keyed by its own source level (the original target).
+    The result is keyed by its own source level (the original target);
+    blocks in and out are (numerators, den).
     """
-    from . import linalg
-
     out = {}
-    for l, blk in blocks.items():
+    for l, (nums, den) in blocks.items():
         lt = l + n
-        if not 0 <= lt <= cutoff:
-            continue
         # adjoint: G_src^{-1} B^T G_tgt, mapping level lt -> l
-        out[lt] = linalg.matmul(
-            fk.gram_inverse(l),
-            linalg.matmul(linalg.transpose(blk), fk.gram_block(lt)),
+        out[lt] = linalg.scaled_matmul(
+            fk.scaled_gram_inverse(l),
+            linalg.scaled_matmul((linalg.transpose(nums), den), fk.scaled_gram(lt)),
         )
     return out
 
@@ -392,14 +438,13 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int,
     """
     if space.pairing(alpha, alpha) != 1:
         raise ValueError("the anticommutator identity needs (alpha|alpha) = 1")
-    from . import linalg
 
     fk = _fock_space(space, cutoff)
     max_mode = cutoff // 2 if max_mode is None else max_mode
     modes = {}
     for k in range(-max_mode - 1, max_mode + 2):
         modes[k] = oscillator_mode(space, alpha, k, cutoff)
-    adj = {k: _block_adjoint(modes[k], fk, k, cutoff) for k in modes}
+    adj = {k: _block_adjoint(modes[k], fk, k) for k in modes}
 
     worst = 0.0
     interior_cols = 0
@@ -417,30 +462,27 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int,
                     boundary_cols += len(fk.levels[l])
                     continue
                 interior_cols += len(fk.levels[l])
-                t1 = None
+                terms = []
                 a_blk = adj[m].get(l)
                 if a_blk is not None and (l - m) in modes[n]:
-                    t1 = linalg.matmul(modes[n][l - m], a_blk)
-                t2 = None
+                    terms.append(linalg.scaled_matmul(modes[n][l - m], a_blk))
                 b_blk = modes[n - 1].get(l)
                 if b_blk is not None and (l + n - 1) in adj.get(m - 1, {}):
-                    t2 = linalg.matmul(adj[m - 1][l + n - 1], b_blk)
+                    terms.append(linalg.scaled_matmul(adj[m - 1][l + n - 1], b_blk))
                 rows = len(fk.levels[tgt_level])
                 cols = len(fk.levels[l])
-                acc = [[ZERO] * cols for _ in range(rows)]
-                for t in (t1, t2):
-                    if t is not None:
-                        for r in range(rows):
-                            for c in range(cols):
-                                acc[r][c] += t[r][c]
+                # the sum of the terms minus delta, over the common den
+                den = math.lcm(1, *(d for _, d in terms))
+                acc = [[0] * cols for _ in range(rows)]
+                for nums, d in terms:
+                    f = den // d
+                    acc = [[x + f * y for x, y in zip(ra, rt)]
+                           for ra, rt in zip(acc, nums)]
                 if n == m:
                     for r in range(rows):
-                        acc[r][r] -= 1
-                dev = max(
-                    (abs(float(acc[r][c])) for r in range(rows) for c in range(cols)),
-                    default=0.0,
-                )
-                worst = max(worst, dev)
+                        acc[r][r] -= den
+                top = max((abs(x) for row in acc for x in row), default=0)
+                worst = max(worst, top / den)
     return {
         "max_deviation": worst,
         "interior_columns": interior_cols,
@@ -525,14 +567,12 @@ def adjoint_phase_check(space: ChargeSpace, alpha, beta, cutoff: int) -> dict:
     of Y_alpha (measured between the beta and alpha+beta sectors), against
     e^{i pi (a|a)/2} times the matching mode of Y_{-alpha}; the adjoint
     convention fixes the mode pairing s -> (a|a) - 2 - s. Both sides are
-    exact, so the reported deviation is float round-off only.
+    exact and the phase has modulus 1, so the reported deviation is the
+    largest exact entry difference, 0 when the relation holds.
     """
-    from . import linalg
-
     alpha = [Fraction(x) for x in alpha]
     beta = [Fraction(x) for x in beta]
     aa = space.pairing(alpha, alpha)
-    ab = space.pairing(alpha, beta)
     delta = aa / 2
     phase = cmath.exp(1j * math.pi * float(delta))
     neg = [-x for x in alpha]
@@ -548,34 +588,39 @@ def adjoint_phase_check(space: ChargeSpace, alpha, beta, cutoff: int) -> dict:
         fwd = heisenberg_mode(space, alpha, beta, s, cutoff)
         bwd = heisenberg_mode(space, neg, apb, s_prime, cutoff)
         if fwd.shift != -shift_back:
-            raise AssertionError("mode grading mismatch")
-        adj = _block_adjoint(fwd.blocks, fk, fwd.shift, cutoff)
-        for l, blk in bwd.blocks.items():
+            raise InvariantError(
+                f"mode grading mismatch: Y_alpha({s}) shifts levels by "
+                f"{fwd.shift}, its partner Y_-alpha({s_prime}) by {shift_back}")
+        adj = _block_adjoint(fwd.blocks, fk, fwd.shift)
+        for l, (nums, den) in bwd.blocks.items():
             other = adj.get(l)
             if other is None:
                 continue
-            rows, cols = len(blk), len(blk[0]) if blk else 0
-            for r in range(rows):
-                for c in range(cols):
-                    lhs = phase * complex(float(other[r][c]))
-                    rhs = phase * complex(float(blk[r][c]))
-                    worst = max(worst, abs(lhs - rhs))
-                    checked += 1
+            o_nums, o_den = other
+            top = max((abs(x * den - y * o_den)
+                       for o_row, row in zip(o_nums, nums)
+                       for x, y in zip(o_row, row)), default=0)
+            worst = max(worst, top / (den * o_den))
+            checked += len(nums) * len(nums[0])
     return {"max_deviation": worst, "entries_checked": checked,
             "phase": phase, "phase_exponent_half_turns": float(delta)}
 
 
 def _leading_coefficients(space: ChargeSpace, first, second, cutoff: int):
-    """c_l = <vac| U_l(first) D_l(second) |vac>, exact rationals."""
-    vac = {(): ONE}
-    ds = _exp_series(space, second, vac, cutoff, -1)
+    """c_l = <vac| U_l(first) D_l(second) |vac>, exact rationals.
+
+    A sum over the level-l states of the E^+(first) vacuum factor (the
+    level -l block of E^-E^+(first) from level l) times the E^-(second)
+    creation factor (its level-l block from the vacuum).
+    """
+    up = _mode_family(space, tuple(first))
+    down = _mode_family(space, tuple(second))
     out = []
     for l in range(cutoff + 1):
-        if not ds[l]:
-            out.append(ZERO)
-            continue
-        us = _exp_series(space, first, ds[l], l, +1)
-        out.append(us[l].get((), ZERO))
+        (u_row,), u_den = up.block(-l, l)
+        d_col, d_den = down.block(l, 0)
+        out.append(Fraction(sum(x * y for x, (y,) in zip(u_row, d_col)),
+                            u_den * d_den))
     return out
 
 

@@ -11,8 +11,9 @@ concern:
   under `det` and the span closures of `chevalley` and `affine`.
 
 Products run on integer numerators over one common denominator per
-operand, so the inner sums are plain int arithmetic and each entry is
-reduced once.
+operand: `scaled_matmul` multiplies (numerators, d) pairs in plain int
+arithmetic, and `matmul` scales its operands into it and reduces each entry
+of the result once.
 """
 from __future__ import annotations
 
@@ -58,15 +59,16 @@ def int_bilinear(m, x, y) -> int:
     return sum(c * sum(map(mul, row, y)) for c, row in zip(x, m) if c)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    an, da = scaled(a)
-    bn, db = scaled(b)
-    d = da * db
+def scaled_matmul(a: tuple, b: tuple) -> tuple[list[list[int]], int]:
+    """Product of two (numerators, d) pairs, as (numerators, d)."""
+    (an, da), (bn, db) = a, b
     cols = list(zip(*bn))
-    return [
-        [Fraction(n, d) if n else ZERO for n in (sum(map(mul, row, col)) for col in cols)]
-        for row in an
-    ]
+    return [[sum(map(mul, row, col)) for col in cols] for row in an], da * db
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    cn, d = scaled_matmul(scaled(a), scaled(b))
+    return [[Fraction(n, d) if n else ZERO for n in row] for row in cn]
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InvariantError
 from .linalg import det, int_bilinear, inverse, scaled_vector
 
 ZERO = Fraction(0)
@@ -254,7 +255,8 @@ class RootSystem:
             norm = int_bilinear(self.form, fund, fund)  # form_den * (r|r)
             if all(f >= 0 for f in fund) and norm == 2 * self.form_den:
                 return r
-        raise AssertionError("no dominant long root found")
+        raise InvariantError(
+            f"no positive root of {self.algebra} is dominant with (r|r) = 2")
 
     @property
     def root_coord_set(self) -> frozenset:

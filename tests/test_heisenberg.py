@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liefusion import heisenberg
 from liefusion.heisenberg import (
     ChargeSpace,
     FockSpace,
@@ -14,10 +16,13 @@ from liefusion.heisenberg import (
     energy_bound_probe,
     heisenberg_mode,
     oscillator_mode,
-    _exp_series,
     _fock_space,
+    _leading_coefficients,
     _mode_family,
+    _strip,
 )
+
+ZERO = Fraction(0)
 
 UNIT = ChargeSpace([[1]])
 TWO = ChargeSpace([[2]])
@@ -50,6 +55,75 @@ def test_fock_gram_rank_two_exact():
     assert g == [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
 
+# Reference: the per-state exponential-series recursion that built the mode
+# blocks before the closed form, kept here to check the closed form against.
+
+def _annihilate(space, lam, n, vec):
+    """lambda(n) for n > 0 on a vector over Fock states."""
+    out = {}
+    pair = [space.pairing(lam, [1 if k == d else 0 for k in range(space.rank)])
+            for d in range(space.rank)]
+    for state, coef in vec.items():
+        for (m, d), c in state:
+            if m != n:
+                continue
+            q = pair[d]
+            if not q:
+                continue
+            val = coef * c * n * q
+            if val:
+                s2 = _strip(state, (m, d))
+                out[s2] = out.get(s2, ZERO) + val
+                if not out[s2]:
+                    del out[s2]
+    return out
+
+
+def _create(space, lam, n, vec):
+    """lambda(-n) for n > 0."""
+    out = {}
+    lam = [Fraction(x) for x in lam]
+    for state, coef in vec.items():
+        for d in range(space.rank):
+            if not lam[d]:
+                continue
+            items = dict(state)
+            items[(n, d)] = items.get((n, d), 0) + 1
+            s2 = tuple(sorted(items.items()))
+            out[s2] = out.get(s2, ZERO) + coef * lam[d]
+            if not out[s2]:
+                del out[s2]
+    return out
+
+
+def _exp_series(space, lam, vec, pmax, side):
+    """Graded pieces of E^-(lam, x) (side=-1) or E^+(lam, x) (side=+1).
+
+    Returns [T_0 v, T_1 v, ...] where T_p is the degree-p coefficient:
+    T_p = (1/p) sum_m c_m T_{p-m} with c_m = lam(-m) resp. -lam(m).
+    """
+    out = [dict(vec)]
+    for p in range(1, pmax + 1):
+        acc = {}
+        for m in range(1, p + 1):
+            prev = out[p - m]
+            if not prev:
+                continue
+            if side < 0:
+                term = _create(space, lam, m, prev)
+            else:
+                term = _annihilate(space, [-x for x in lam], m, prev)
+            for s, c in term.items():
+                acc[s] = acc.get(s, ZERO) + c
+        out.append({s: c / p for s, c in acc.items() if c})
+    return out
+
+
+def _exact(block):
+    nums, den = block
+    return [[Fraction(x, den) for x in row] for row in nums]
+
+
 def test_exp_series_against_hand_expansion():
     # degree-2 creation piece: (a(-1)^2/2 + a(-2)/2) for a unit charge
     vac = {(): Fraction(1)}
@@ -61,8 +135,8 @@ def test_exp_series_against_hand_expansion():
 
 def _reference_family(space, alpha, cutoff):
     """E^-E^+ by the per-state recursion: E^- applied to each E^+ piece."""
-    zero = Fraction(0)
     fk = _fock_space(space, cutoff)
+    index = {l: {s: i for i, s in enumerate(states)} for l, states in fk.levels.items()}
     fam = {}
     for l in range(cutoff + 1):
         for ci, state in enumerate(fk.levels[l]):
@@ -80,13 +154,27 @@ def _reference_family(space, alpha, cutoff):
                     blk = fam.setdefault(d, {}).get(l)
                     if blk is None:
                         blk = [
-                            [zero] * len(fk.levels[l])
+                            [ZERO] * len(fk.levels[l])
                             for _ in range(len(fk.levels[lt]))
                         ]
                         fam[d][l] = blk
                     for st, c in ds[p].items():
-                        blk[fk.index[lt][st]][ci] += c
+                        blk[index[lt][st]][ci] += c
     return fam
+
+
+def _assert_family_matches_reference(space, alpha, cutoff):
+    fk = _fock_space(space, cutoff)
+    ref = _reference_family(space, alpha, cutoff)
+    fam = _mode_family(space, alpha)
+    for d in range(-cutoff, cutoff + 1):
+        blocks = oscillator_mode(space, alpha, d, cutoff)
+        assert set(blocks) == {l for l in range(cutoff + 1) if 0 <= l + d <= cutoff}
+        for l, blk in blocks.items():
+            assert blk is fam.block(d, l)
+            # a block the recursion never touched is a zero block
+            zero = [[0] * len(fk.levels[l]) for _ in fk.levels[l + d]]
+            assert _exact(blk) == ref.get(d, {}).get(l, zero), (cutoff, d, l)
 
 
 @pytest.mark.parametrize("gram, alpha, cutoffs", [
@@ -102,18 +190,74 @@ def test_mode_family_matches_per_state_recursion(gram, alpha, cutoffs):
     space = ChargeSpace(gram)
     alpha = tuple(Fraction(x) for x in alpha)
     for cutoff in cutoffs:
-        fk = _fock_space(space, cutoff)
-        ref = _reference_family(space, alpha, cutoff)
-        fam = _mode_family(space, alpha, cutoff)
-        assert set(ref) <= set(fam)
-        for d in range(-cutoff, cutoff + 1):
-            for l in range(cutoff + 1):
-                if not 0 <= l + d <= cutoff:
-                    assert l not in fam.get(d, {})
-                    continue
-                # a block the recursion never touched is a zero block
-                zero = [[0] * len(fk.levels[l]) for _ in fk.levels[l + d]]
-                assert fam[d][l] == ref.get(d, {}).get(l, zero), (cutoff, d, l)
+        _assert_family_matches_reference(space, alpha, cutoff)
+
+
+_small_fraction = st.builds(
+    Fraction, st.integers(-4, 4), st.integers(1, 4))
+_positive_fraction = st.builds(
+    Fraction, st.integers(1, 5), st.integers(1, 4))
+
+
+@st.composite
+def _charge_configurations(draw):
+    rank = draw(st.integers(1, 2))
+    if rank == 1:
+        gram = [[draw(_positive_fraction)]]
+        cutoff = draw(st.integers(0, 6))
+    else:
+        p, q = draw(_positive_fraction), draw(_positive_fraction)
+        # off-diagonal entry r with r^2 < p q keeps the Gram positive definite
+        r = draw(_small_fraction.filter(lambda r: r * r < p * q))
+        gram = [[p, r], [r, q]]
+        cutoff = draw(st.integers(0, 5))
+    alpha = tuple(draw(_small_fraction) for _ in range(rank))
+    return gram, alpha, cutoff
+
+
+@settings(max_examples=40, deadline=None)
+@given(_charge_configurations())
+def test_mode_family_matches_reference_on_random_charges(config):
+    gram, alpha, cutoff = config
+    _assert_family_matches_reference(ChargeSpace(gram), alpha, cutoff)
+
+
+def _series_leading_coefficients(space, first, second, cutoff):
+    """<vac| U_l(first) D_l(second) |vac> through the reference series."""
+    vac = {(): Fraction(1)}
+    ds = _exp_series(space, second, vac, cutoff, -1)
+    out = []
+    for l in range(cutoff + 1):
+        us = _exp_series(space, first, ds[l], l, +1) if ds[l] else None
+        out.append(us[l].get((), ZERO) if us else ZERO)
+    return out
+
+
+def _binomial_coefficients(x, cutoff):
+    """Coefficients of (1 - z)^x: (-1)^l C(x, l)."""
+    out = []
+    for l in range(cutoff + 1):
+        num = Fraction(1)
+        for i in range(l):
+            num *= i - x
+        out.append(num / math.factorial(l))
+    return out
+
+
+@pytest.mark.parametrize("gram, first, second", [
+    ([[1]], (1,), (1,)),
+    ([[1, 0], [0, 1]], (1, 0), (0, 1)),
+    ([[1, 0], [0, 1]], (0, 1), (1, 0)),
+    ([[2]], (1,), (1,)),
+    ([[Fraction(7, 5)]], (Fraction(1, 2),), (Fraction(2, 3),)),
+])
+def test_leading_coefficients_match_series_and_binomial(gram, first, second):
+    space = ChargeSpace(gram)
+    first = tuple(Fraction(x) for x in first)
+    second = tuple(Fraction(x) for x in second)
+    got = _leading_coefficients(space, first, second, 12)
+    assert got == _series_leading_coefficients(space, first, second, 12)
+    assert got == _binomial_coefficients(space.pairing(first, second), 12)
 
 
 def test_charged_mode_grading_and_lowest_element():
@@ -121,7 +265,7 @@ def test_charged_mode_grading_and_lowest_element():
     mm = heisenberg_mode(TWO, [1], [1], Fraction(-4), 5)
     assert mm.shift == 4 - 1 - 2  # -(-4) - 1 - (1|1)
     low = heisenberg_mode(TWO, [1], [0], Fraction(-1), 5)
-    assert low.blocks[0][0][0] == 1
+    assert _exact(low.blocks[0])[0][0] == 1
     assert low.source_charge == (Fraction(0),)
     assert low.target_charge == (Fraction(1),)
     # one charge-free Fock basis serves every sector at this cutoff
@@ -155,6 +299,44 @@ def test_anticommutator_identity_exact():
         assert rep["boundary_columns_excluded"] > 0
 
 
+def _perturbed(blocks, level):
+    """A copy of a block family with one numerator of one block moved by 1."""
+    blocks = dict(blocks)
+    nums, den = blocks[level]
+    nums = [row[:] for row in nums]
+    nums[0][0] += 1
+    blocks[level] = (nums, den)
+    return blocks
+
+
+def test_anticommutator_judges_a_perturbed_block(monkeypatch):
+    true_mode = heisenberg.oscillator_mode
+
+    def perturbed(space, alpha, n, cutoff):
+        blocks = true_mode(space, alpha, n, cutoff)
+        return _perturbed(blocks, 0) if n == 1 else blocks
+
+    monkeypatch.setattr(heisenberg, "oscillator_mode", perturbed)
+    assert anticommutator_check(UNIT, [1], 6)["max_deviation"] > 0
+    monkeypatch.undo()
+    assert anticommutator_check(UNIT, [1], 6)["max_deviation"] == 0.0
+
+
+def test_adjoint_phase_judges_a_perturbed_block(monkeypatch):
+    true_mode = heisenberg.heisenberg_mode
+
+    def perturbed(space, alpha, mu, s, cutoff):
+        mm = true_mode(space, alpha, mu, s, cutoff)
+        if mm.shift == 1 and alpha[0] > 0:
+            mm.blocks = _perturbed(mm.blocks, 0)
+        return mm
+
+    monkeypatch.setattr(heisenberg, "heisenberg_mode", perturbed)
+    assert adjoint_phase_check(TWO, [1], [1], 6)["max_deviation"] > 0
+    monkeypatch.undo()
+    assert adjoint_phase_check(TWO, [1], [1], 6)["max_deviation"] == 0.0
+
+
 def test_anticommutator_needs_unit_norm():
     with pytest.raises(ValueError, match="alpha"):
         anticommutator_check(TWO, [1], 4)
@@ -163,7 +345,7 @@ def test_anticommutator_needs_unit_norm():
 def test_vacuum_anticommutator_element():
     # n = m = 0 on the vacuum: the two terms sum to exactly 1
     blocks = oscillator_mode(UNIT, [1], 0, 4)
-    assert blocks[0][0][0] == 1
+    assert _exact(blocks[0])[0][0] == 1
 
 
 def test_energy_probe_identity_charge():

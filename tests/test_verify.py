@@ -137,3 +137,20 @@ def test_reduced_full_suite_deterministic():
     failed = [r["claim"] for r in data["results"] if r["status"] == "fail"]
     assert failed == ["energy-bound-order1"]
     assert data["passed"] is False
+
+
+def test_no_assert_guards_an_invariant():
+    # `python -O` strips assert statements, so every invariant in the package
+    # raises a named error instead; AssertionError is not one
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "src" / "liefusion"
+    offenders = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert len(list(pkg.glob("*.py"))) > 10
+    assert offenders == []
