@@ -12,13 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import InvariantError
 from .highmod import weight_multiplicity
-from .rootsys import AlgebraId, Weight, build_root_system, dual_weight, inner_product, to_dominant
+from .rootsys import (
+    AlgebraId, Weight, _reduce_to_dominant, build_root_system, dual_weight, inner_product,
+)
 from .tensor import TensorQuery, tensor_decomposition, tensor_multiplicity
 
 ZERO = Fraction(0)
+
+
+def theta_pairing(lam: Weight):
+    """(lam|theta), a dot product with the integer comarks (omega_i|theta)."""
+    return sum(map(mul, lam.fundamental, build_root_system(lam.algebra).comarks))
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,7 @@ class AffineWeight:
             raise ValueError("level must be nonnegative")
         if not self.finite_part.is_dominant_integral():
             raise ValueError(f"{self.finite_part} is not dominant integral")
-        rs = build_root_system(self.finite_part.algebra)
-        if inner_product(self.finite_part, rs.highest_root) > self.level:
+        if theta_pairing(self.finite_part) > self.level:
             raise ValueError(
                 f"{self.finite_part} is not admissible at level {self.level}"
             )
@@ -62,9 +69,7 @@ def admissible_weights(algebra: AlgebraId, level: int) -> list[AffineWeight]:
     """All dominant integral weights with (lam|theta) <= level."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    rs = build_root_system(algebra)
-    theta = rs.highest_root
-    marks = [inner_product(w, theta) for w in rs.fundamental_weights]
+    marks = build_root_system(algebra).comarks
     n = algebra.rank
     out = []
 
@@ -78,10 +83,8 @@ def admissible_weights(algebra: AlgebraId, level: int) -> list[AffineWeight]:
             rec(prefix + [k], budget - k * marks[i])
             k += 1
 
-    rec([], Fraction(level))
-    return [
-        AffineWeight(Weight.from_fundamental(algebra, f), level) for f in sorted(out)
-    ]
+    rec([], level)
+    return [AffineWeight(Weight(algebra, f), level) for f in sorted(out)]
 
 
 def conformal_weight(w: AffineWeight) -> Fraction:
@@ -145,9 +148,7 @@ def casimir_eigenvalue(lam: Weight, cap: int | None = None) -> Fraction:
             tr[i][j] = tr[j][i] = t
 
     # scale: the highest-root coroot has squared length 2
-    theta = rs.highest_root
-    d = rs._d
-    coro = [theta.coords[i] * d[i] for i in range(n)]
+    coro = rs.comarks
     h_theta = None
     for i in range(n):
         m = mod.full_matrix("H", i)
@@ -194,33 +195,38 @@ def _comm(a, b):
 
 @lru_cache(maxsize=None)
 def fusion_decomposition(lam: Weight, mu: Weight, level: int) -> dict:
-    """Level-l fusion of the two admissibles, by affine-Weyl folding."""
+    """Level-l fusion of the two admissibles, by affine-Weyl folding.
+
+    The fold runs on fundamental tuples: x = nu + rho is reduced to the
+    dominant chamber, then reflected in the affine wall while its
+    theta-pairing t exceeds kmax = level + h^vee.
+    """
     aid = lam.algebra
     rs = build_root_system(aid)
-    rho = rs.weyl_vector
-    theta = rs.highest_root
+    comarks = rs.comarks
+    theta_f = rs.highest_root.fundamental
     kmax = level + rs.dual_coxeter
     out: dict = {}
     for nu_f, mult in tensor_decomposition(lam, mu).items():
-        x = Weight.from_fundamental(aid, nu_f) + rho
+        x = tuple(a + 1 for a in nu_f)
         sign = 1
         while True:
-            x, s, _ = to_dominant(x)
+            x, s, _ = _reduce_to_dominant(aid, x)
             if s == 0:
                 sign = 0
                 break
             sign *= s
-            t = inner_product(x, theta)
+            t = sum(map(mul, x, comarks))
             if t < kmax:
                 break
             if t == kmax:
                 sign = 0
                 break
-            x = x - (t - kmax) * theta
+            x = tuple(a - (t - kmax) * b for a, b in zip(x, theta_f))
             sign = -sign
         if sign == 0:
             continue
-        key = (x - rho).fundamental
+        key = tuple(a - 1 for a in x)
         out[key] = out.get(key, 0) + sign * mult
         if not out[key]:
             del out[key]
@@ -246,7 +252,7 @@ def kac_walton_fusion(q: FusionQuery) -> int:
 def _supported_charges(aid: AlgebraId) -> dict:
     """Map charge fundamental tuple -> rule tag."""
     n = aid.rank
-    e = lambda i: tuple(Fraction(1 if k == i else 0) for k in range(n))
+    e = lambda i: tuple(1 if k == i else 0 for k in range(n))
     if aid.series in ("A", "C"):
         return {e(0): "plain"}
     if aid.series == "B":
@@ -306,9 +312,7 @@ def generating_check(family, level: int, algebra: AlgebraId | None = None):
         charges.add(w.finite_part.fundamental)
         charges.add(dual_weight(w.finite_part).fundamental)
     if not family:
-        only_vacuum = admissible == [
-            tuple(ZERO for _ in range(algebra.rank))
-        ]
+        only_vacuum = admissible == [(0,) * algebra.rank]
         return only_vacuum, {}
 
     reached = dict.fromkeys(charges)  # weight -> producing step
@@ -317,11 +321,7 @@ def generating_check(family, level: int, algebra: AlgebraId | None = None):
         new = []
         for src in frontier:
             for ch in charges:
-                dec = fusion_decomposition(
-                    Weight.from_fundamental(algebra, ch),
-                    Weight.from_fundamental(algebra, src),
-                    level,
-                )
+                dec = fusion_decomposition(Weight(algebra, ch), Weight(algebra, src), level)
                 for tgt, m in dec.items():
                     if m > 0 and tgt not in reached:
                         reached[tgt] = (ch, src)
@@ -351,13 +351,10 @@ def large_level_check(q: FusionQuery) -> LevelReductionResult:
     a = (lam|theta); in that regime the oracle and the tensor multiplicity
     are computed and compared.
     """
-    rs = build_root_system(q.lam.finite_part.algebra)
-    theta = rs.highest_root
-    a = inner_product(q.lam.finite_part, theta)
-    slack = q.level - a
+    slack = q.level - theta_pairing(q.lam.finite_part)
     applicable = (
-        inner_product(q.mu.finite_part, theta) <= slack
-        or inner_product(q.nu.finite_part, theta) <= slack
+        theta_pairing(q.mu.finite_part) <= slack
+        or theta_pairing(q.nu.finite_part) <= slack
     )
     if not applicable:
         return LevelReductionResult(False)
@@ -385,19 +382,15 @@ def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
     """
     from .highmod import full_character, hom_space_basis
 
-    rs = build_root_system(lam.algebra)
-    theta = rs.highest_root
     char = full_character(lam, cap)
     if any(m > 1 for m in char.mults.values()):
         raise HypothesisViolation("charge weight spaces exceed dimension 1")
-    pair_max = max(
-        inner_product(lam, theta), inner_product(mu1, theta), inner_product(nu1, theta)
-    )
+    pair_max = max(theta_pairing(lam), theta_pairing(mu1), theta_pairing(nu1))
     if pair_max != a:
         raise HypothesisViolation(f"a = {a} is not the maximal theta-pairing {pair_max}")
     if a > level:
         raise HypothesisViolation(f"a = {a} exceeds the level {level}")
-    if inner_product(rho, theta) > level - a:
+    if theta_pairing(rho) > level - a:
         raise HypothesisViolation("(rho|theta) exceeds level - a")
     v_a = kac_walton_fusion(
         FusionQuery(AffineWeight(lam, a), AffineWeight(mu1, a), AffineWeight(nu1, a))

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .errors import InvariantError, VerificationError
@@ -42,9 +43,8 @@ class StructureAlgebra:
         rs = build_root_system(algebra)
         self.rank = algebra.rank
         self.cartan = rs.cartan_matrix
-        pos = [tuple(int(c) for c in r.coords) for r in rs.positive_roots]
-        self.roots = frozenset(pos) | frozenset(tuple(-c for c in r) for r in pos)
-        self.positive_roots = sorted(pos)
+        self.roots = rs.root_coord_set
+        self.positive_roots = rs.positive_root_coords
         self.dim = self.rank + len(self.roots)
 
     # -- basic constructors -------------------------------------------------
@@ -338,15 +338,13 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
             addw(restrict(fund), m)
             total += m
 
-    rs = build_root_system(sub_type)
-    inv = rs._cartan_inv
-    nr = sub_type.rank
+    # det(C) times the height of a weight: the adjugate row sums are det
+    # times the heights of the fundamental weights, and det > 0, so the
+    # order is that of the heights, which is dominance-compatible
+    heights = [sum(row) for row in build_root_system(sub_type).cartan_adjugate]
 
     def root_height(w):
-        # fund -> root coords, then total height; dominance-compatible
-        return sum(
-            (w[k] * inv[k][i] for k in range(nr) for i in range(nr)), ZERO
-        )
+        return sum(map(mul, w, heights))
 
     out: dict = {}
     remaining = dict(weights)
@@ -359,7 +357,7 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
         top = max(dominant, key=lambda w: (root_height(w), w))
         mult = remaining[top]
         hw = Weight.from_fundamental(sub_type, top)
-        out[tuple(top)] = out.get(tuple(top), 0) + mult
+        out[hw.fundamental] = out.get(hw.fundamental, 0) + mult
         for fund, m in all_weights(hw).items():
             remaining[fund] = remaining.get(fund, 0) - mult * m
             if remaining[fund] < 0:
@@ -713,7 +711,7 @@ def g2_seven_dim_pairing_witness() -> dict:
         raise VerificationError(f"expected a 1-dim intertwiner space, got {len(ts)}")
     t = ts[0]
     mod = realize_module(v1)
-    minus_alpha1 = tuple(Fraction(c) for c in (-2, 1))
+    minus_alpha1 = (-2, 1)
     top = v1.fundamental
     img = t.apply_pair(minus_alpha1, 0, top, 0)
     return {"nonzero": bool(img), "image_support": sorted(img)}

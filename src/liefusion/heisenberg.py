@@ -490,25 +490,11 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int,
     }
 
 
-def _power_norm(a: np.ndarray, tol: float = 1e-8, maxit: int = 5000) -> float:
-    """Largest singular value by power iteration on A^T A, deterministic."""
+def _power_norm(a: np.ndarray) -> float:
+    """Largest singular value (spectral norm), by LAPACK's SVD."""
     if a.size == 0:
         return 0.0
-    m = a.T @ a
-    n = m.shape[0]
-    x = np.ones(n) / math.sqrt(n)
-    prev = 0.0
-    for _ in range(maxit):
-        y = m @ x
-        nrm = float(np.linalg.norm(y))
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        if prev and abs(nrm - prev) <= tol * nrm:
-            prev = nrm
-            break
-        prev = nrm
-    return math.sqrt(prev)
+    return float(np.linalg.norm(a, 2))
 
 
 @dataclass

@@ -18,7 +18,6 @@ candidate over the pivot ones: those rows are the F-blocks into f.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,15 +49,17 @@ def weyl_dimension(lam: Weight) -> int:
     For alpha = sum_j a_j alpha_j, (lam+rho|alpha) = sum_j a_j (f_j+1)
     (alpha_j|alpha_j)/2 with f the fundamental coordinates of lam. Each
     factor is scaled by 6 so that s_j = 3 (alpha_j|alpha_j) is an integer;
-    the scale cancels in the ratio.
+    the scale cancels in the ratio. Weights that are not dominant integral
+    are rejected with ValueError.
     """
+    if not lam.is_dominant_integral():
+        raise ValueError(f"{lam} is not dominant integral")
     rs = build_root_system(lam.algebra)
     n = lam.algebra.rank
     s = [rs.gram6[j][j] // 2 for j in range(n)]
     f = lam.fundamental
     num = den = 1
-    for alpha in rs.positive_roots:
-        a = [int(c) for c in alpha.coords]
+    for a in rs.positive_root_coords:
         num *= sum(a[j] * (f[j] + 1) * s[j] for j in range(n))
         den *= sum(a[j] * s[j] for j in range(n))
     dim, rem = divmod(num, den)
@@ -98,7 +99,7 @@ def dominant_character(lam: Weight) -> DominantCharacter:
 
     # all inner products are carried scaled by 6, as in gram6
     sgram = rs.gram6
-    lam_f = tuple(int(x) for x in lam.fundamental)
+    lam_f = lam.fundamental
     # 6 (rho|a_i) = 3 (a_i|a_i), and (lam|a_i) = lam_i (rho|a_i)
     rho_ip = [sgram[i][i] // 2 for i in range(n)]
     lam_ip = [lam_f[i] * rho_ip[i] for i in range(n)]
@@ -115,17 +116,12 @@ def dominant_character(lam: Weight) -> DominantCharacter:
             lam_f[j] - sum(t[k] * cartan[k][j] for k in range(n)) for j in range(n)
         )
 
-    adj, det = rs.cartan_adjugate, rs.cartan_det
+    det = rs.cartan_det
 
     def below(dom_f) -> bool:
-        # lam - dom in the positive root cone: its root coordinates, times
-        # det, are the pairings of the difference with the adjugate columns
+        # lam - dom in the positive root cone
         diff = [lam_f[j] - dom_f[j] for j in range(n)]
-        for i in range(n):
-            c = sum(diff[k] * adj[k][i] for k in range(n))
-            if c < 0 or c % det:
-                return False
-        return True
+        return all(c >= 0 and not c % det for c in rs.scaled_root_coords(diff))
 
     while frontier:
         new = []
@@ -148,8 +144,7 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     mults: dict = {lam_f: 1}
     # per positive root: integer root coords, (e_i|a) scaled, (a|a) scaled
     pos_data = []
-    for a in rs.positive_roots:
-        ac = [int(x) for x in a.coords]
+    for ac in rs.positive_root_coords:
         galpha = [sum(sgram[i][j] * ac[j] for j in range(n)) for i in range(n)]
         a_norm = sum(ac[i] * galpha[i] for i in range(n))
         a_lam = sum(ac[i] * lam_ip[i] for i in range(n))
@@ -204,8 +199,9 @@ def dominant_character(lam: Weight) -> DominantCharacter:
 def weight_multiplicity(lam: Weight, mu: Weight) -> int:
     """dim of the mu weight space of L(lam)."""
     lam._check(mu)
-    diff = lam - mu
-    if any(c.denominator != 1 for c in diff.coords):
+    rs = build_root_system(lam.algebra)
+    diff = (lam - mu).fundamental
+    if any(c % rs.cartan_det for c in rs.scaled_root_coords(diff)):
         return 0
     return dominant_character(lam).multiplicity(mu)
 
@@ -256,16 +252,6 @@ class ModuleRealization:
         self.parent: dict = {}
         self.dim = 0
 
-    # -- block helpers ----------------------------------------------------
-    def weight_of(self, f) -> Weight:
-        return Weight.from_fundamental(self.algebra, f)
-
-    def basis_weights(self) -> list[Weight]:
-        out = []
-        for f in self.blocks:
-            out.extend([self.weight_of(f)] * self.block_dim[f])
-        return out
-
     def _offsets(self) -> dict:
         off, at = {}, 0
         for f in self.blocks:
@@ -295,47 +281,6 @@ class ModuleRealization:
                 for row in range(self.block_dim[tgt]):
                     m[off[tgt] + row][off[f] + col] = blk[row][col]
         return m
-
-    def gram_full(self) -> Matrix:
-        off = self._offsets()
-        m = linalg.zeros(self.dim, self.dim)
-        for f in self.blocks:
-            g = self.gram[f]
-            for a in range(self.block_dim[f]):
-                for b in range(self.block_dim[f]):
-                    m[off[f] + a][off[f] + b] = g[a][b]
-        return m
-
-    def to_json(self) -> str:
-        """Basis weights plus sparse generator triples, rational strings."""
-        off = self._offsets()
-        entries = {"E": [], "F": []}
-        rs = build_root_system(self.algebra)
-        n = self.algebra.rank
-        for kind, blocks in (("E", self.e_block), ("F", self.f_block)):
-            step = 1 if kind == "E" else -1
-            for (i, f), blk in blocks.items():
-                tgt = tuple(f[k] + step * rs.cartan_matrix[i][k] for k in range(n))
-                for col in range(self.block_dim[f]):
-                    for row in range(self.block_dim[tgt]):
-                        if blk[row][col]:
-                            entries[kind].append(
-                                [i, off[tgt] + row, off[f] + col, str(blk[row][col])]
-                            )
-        return json.dumps(
-            {
-                "algebra": str(self.algebra),
-                "highest_weight": [str(c) for c in self.highest_weight.fundamental],
-                "dim": self.dim,
-                "basis_weights": [
-                    [str(c) for c in w.fundamental] for w in self.basis_weights()
-                ],
-                "gram": [
-                    [[str(x) for x in row] for row in self.gram[f]] for f in self.blocks
-                ],
-                "generators": entries,
-            }
-        )
 
 
 @lru_cache(maxsize=None)
@@ -468,15 +413,6 @@ class IntertwinerMap:
 
     def apply_pair(self, f1, a, f2, b) -> dict:
         return self.columns.get((f1, f2, a, b), {})
-
-    def apply(self, tensor_vec: dict) -> dict:
-        out: dict = {}
-        for key, c in tensor_vec.items():
-            for k2, c2 in self.columns.get(key, {}).items():
-                out[k2] = out.get(k2, ZERO) + c * c2
-                if not out[k2]:
-                    del out[k2]
-        return out
 
 
 def _tensor_pair_blocks(mlam: ModuleRealization, mmu: ModuleRealization, kappa):

@@ -1,10 +1,14 @@
 """Root systems, weights, and Weyl-group reductions for the simple types A-G.
 
-Conventions. Weights are stored as exact rational coordinate vectors over
-the simple-root basis. The invariant inner product is normalized so that
-long roots have squared length 2. The Cartan matrix follows
-``cartan[i][j] = 2(a_i|a_j)/(a_j|a_j)``, so a weight's pairing against the
-j-th simple coroot is the j-th entry of its fundamental-coordinate vector.
+Conventions. A weight is stored as its fundamental coordinates, the
+pairings against the simple coroots, each an ``int`` when it is integral
+and a ``Fraction`` otherwise. The Cartan matrix follows
+``cartan[i][j] = 2(a_i|a_j)/(a_j|a_j)``, so the fundamental coordinates of
+the simple root a_i are the row ``cartan[i]``, and root coordinates are
+recovered through the integer adjugate as ``f adj(C) / det(C)``. The
+invariant inner product is normalized so that long roots have squared
+length 2; the comarks ``(omega_i|theta)`` are integers, so the
+theta-pairing of an integral weight is an integer dot product.
 
 The inner product is carried as integers over one fixed denominator, never
 as a matrix of Fractions. On simple-root coordinates it is
@@ -19,10 +23,10 @@ root is then the second fundamental weight.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .errors import InvariantError
 from .linalg import det, int_bilinear, inverse, scaled_vector
@@ -107,82 +111,77 @@ def _cartan_and_lengths(aid: AlgebraId) -> tuple[list[list[int]], list[Fraction]
     return cartan, d
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class Weight:
-    """Exact weight in the simple-root basis of a fixed algebra."""
+    """Exact weight of a fixed algebra, by its fundamental coordinates.
+
+    Entries are normalized on construction, ints when integral and
+    Fractions otherwise, so a weight built from root coordinates, from
+    Fractions or from ints compares and hashes the same.
+    """
 
     algebra: AlgebraId
-    coords: tuple[Fraction, ...]
+    fundamental: tuple  # pairings against the simple coroots
 
     def __post_init__(self):
-        if len(self.coords) != self.algebra.rank:
+        f = self.fundamental
+        if len(f) != self.algebra.rank:
             raise ValueError("coordinate length must equal the rank")
-
-    @classmethod
-    def from_root_coords(cls, algebra: AlgebraId, coords) -> "Weight":
-        return cls(algebra, tuple(Fraction(c) for c in coords))
+        if type(f) is not tuple or any(type(x) is not int for x in f):
+            object.__setattr__(self, "fundamental", tuple(_exact(x) for x in f))
 
     @classmethod
     def from_fundamental(cls, algebra: AlgebraId, coeffs) -> "Weight":
-        rs = build_root_system(algebra)
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != algebra.rank:
+        return cls(algebra, tuple(coeffs))
+
+    @classmethod
+    def from_root_coords(cls, algebra: AlgebraId, coords) -> "Weight":
+        c = [_exact(x) for x in coords]
+        if len(c) != algebra.rank:
             raise ValueError("coordinate length must equal the rank")
-        coords = [
-            sum((coeffs[k] * rs._cartan_inv[k][i] for k in range(algebra.rank)), ZERO)
-            for i in range(algebra.rank)
-        ]
-        return cls(algebra, tuple(coords))
+        cartan = build_root_system(algebra).cartan_matrix
+        return cls(algebra, tuple(sum(map(mul, c, col)) for col in zip(*cartan)))
 
     @property
-    def fundamental(self) -> tuple[Fraction, ...]:
-        """Pairings against the simple coroots."""
-        return _fund_coords(self.algebra, self.coords)
+    def coords(self) -> tuple[Fraction, ...]:
+        """Root coordinates, over the simple-root basis."""
+        rs = build_root_system(self.algebra)
+        return tuple(Fraction(c, rs.cartan_det) for c in rs.scaled_root_coords(self.fundamental))
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.fundamental)
 
     def is_dominant_integral(self) -> bool:
-        return all(f >= 0 and Fraction(f).denominator == 1 for f in self.fundamental)
+        return all(type(f) is int and f >= 0 for f in self.fundamental)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(self.algebra, tuple(map(add, self.fundamental, other.fundamental)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(self.algebra, tuple(map(sub, self.fundamental, other.fundamental)))
 
     def __neg__(self) -> "Weight":
-        return Weight(self.algebra, tuple(-a for a in self.coords))
+        return Weight(self.algebra, tuple(-a for a in self.fundamental))
 
     def __mul__(self, k) -> "Weight":
-        k = Fraction(k)
-        return Weight(self.algebra, tuple(k * a for a in self.coords))
+        k = _exact(k)
+        return Weight(self.algebra, tuple(k * a for a in self.fundamental))
 
     __rmul__ = __mul__
 
     def _check(self, other: "Weight"):
         if self.algebra != other.algebra:
             raise ValueError(f"algebra mismatch: {self.algebra} vs {other.algebra}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "algebra": str(self.algebra),
-                "basis": "fundamental",
-                "coords": [str(c) for c in self.fundamental],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Weight":
-        data = json.loads(text)
-        aid = AlgebraId.parse(data["algebra"])
-        coords = [Fraction(c) for c in data["coords"]]
-        if data.get("basis", "fundamental") == "fundamental":
-            return cls.from_fundamental(aid, coords)
-        return cls.from_root_coords(aid, coords)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.fundamental) + ")"
@@ -200,33 +199,32 @@ class RootSystem:
         # 6 d_j is an integer (d_j is 1, 1/2 or 1/3)
         d6 = [int(6 * x) for x in d]
         self.gram6 = [[cartan[i][j] * d6[j] for j in range(n)] for i in range(n)]
-        self._cartan_inv = inverse([[Fraction(x) for x in row] for row in cartan])
         # integer forms of the inverse: cartan_adjugate = cartan_det * cartan^-1
         self.cartan_det = int(det(cartan))
         self.cartan_adjugate = [
-            [int(self.cartan_det * x) for x in row] for row in self._cartan_inv
+            [int(self.cartan_det * x) for x in row]
+            for row in inverse([[Fraction(x) for x in row] for row in cartan])
         ]
         self.form = [[self.cartan_adjugate[i][j] * d6[j] for j in range(n)] for i in range(n)]
         self.form_den = 6 * self.cartan_det
 
-        self.simple_roots = [
-            Weight(algebra, tuple(Fraction(1 if k == i else 0) for k in range(n)))
-            for i in range(n)
-        ]
-        self.positive_roots = self._enumerate_positive_roots()
+        # the fundamental coordinates of a_i are the row cartan[i]
+        self.simple_roots = [Weight(algebra, tuple(row)) for row in cartan]
         self.fundamental_weights = [
-            Weight(algebra, tuple(self._cartan_inv[k][i] for i in range(n)))
-            for k in range(n)
+            Weight(algebra, tuple(1 if k == i else 0 for k in range(n))) for i in range(n)
         ]
-        self.weyl_vector = Weight(
-            algebra,
-            tuple(sum((self._cartan_inv[k][i] for k in range(n)), ZERO) for i in range(n)),
-        )
-        self.highest_root = self._find_highest_root()
-        theta = self.highest_root.coords
-        self.dual_coxeter = int(1 + sum(theta[i] * d[i] for i in range(n)))
+        self.weyl_vector = Weight(algebra, (1,) * n)
+        self.positive_root_coords = self._enumerate_positive_roots()
+        self.positive_roots = [
+            Weight(algebra, tuple(sum(map(mul, r, col)) for col in zip(*cartan)))
+            for r in self.positive_root_coords
+        ]
+        theta, self.highest_root = self._find_highest_root()
+        # (omega_i|theta) = theta_i d_i, an integer in every simple type
+        self.comarks = tuple(int(t * x) for t, x in zip(theta, d))
+        self.dual_coxeter = 1 + sum(self.comarks)
 
-    def _enumerate_positive_roots(self) -> list[Weight]:
+    def _enumerate_positive_roots(self) -> list[tuple[int, ...]]:
         n = self.algebra.rank
         cartan = self.cartan_matrix
         simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
@@ -242,51 +240,30 @@ class RootSystem:
                         seen.add(s)
                         new.append(s)
             frontier = new
-        pos = sorted(
-            r for r in seen if all(c >= 0 for c in r)
-        )
-        return [Weight.from_root_coords(self.algebra, r) for r in pos]
+        return sorted(r for r in seen if all(c >= 0 for c in r))
 
-    def _find_highest_root(self) -> Weight:
-        n = self.algebra.rank
-        for r in self.positive_roots:
-            c = [int(x) for x in r.coords]
-            fund = [sum(c[i] * self.cartan_matrix[i][j] for i in range(n)) for j in range(n)]
+    def _find_highest_root(self) -> tuple[tuple[int, ...], Weight]:
+        for r, alpha in zip(self.positive_root_coords, self.positive_roots):
+            fund = alpha.fundamental
             norm = int_bilinear(self.form, fund, fund)  # form_den * (r|r)
             if all(f >= 0 for f in fund) and norm == 2 * self.form_den:
-                return r
+                return r, alpha
         raise InvariantError(
             f"no positive root of {self.algebra} is dominant with (r|r) = 2")
 
+    def scaled_root_coords(self, fund) -> tuple:
+        """det(C) times the root coordinates of a fundamental tuple."""
+        return tuple(sum(map(mul, fund, col)) for col in zip(*self.cartan_adjugate))
+
     @property
     def root_coord_set(self) -> frozenset:
-        return frozenset(
-            tuple(int(c) for c in r.coords) for r in self.positive_roots
-        ) | frozenset(
-            tuple(-int(c) for c in r.coords) for r in self.positive_roots
-        )
+        pos = frozenset(self.positive_root_coords)
+        return pos | frozenset(tuple(-c for c in r) for r in pos)
 
 
 @lru_cache(maxsize=None)
 def build_root_system(algebra: AlgebraId) -> RootSystem:
     return RootSystem(algebra)
-
-
-@lru_cache(maxsize=None)
-def _fund_coords(algebra: AlgebraId, coords) -> tuple:
-    rs = build_root_system(algebra)
-    n = algebra.rank
-    out = []
-    for j in range(n):
-        v = sum((coords[i] * rs.cartan_matrix[i][j] for i in range(n)), ZERO)
-        # plain ints hash and compare much faster than Fractions
-        out.append(int(v) if v.denominator == 1 else v)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _weight_from_fund(algebra: AlgebraId, fund) -> "Weight":
-    return Weight.from_fundamental(algebra, fund)
 
 
 @lru_cache(maxsize=None)
@@ -327,7 +304,7 @@ def to_dominant(lam: Weight) -> tuple[Weight, int, int]:
     first, so the trace is deterministic).
     """
     f, sign, length = _reduce_to_dominant(lam.algebra, lam.fundamental)
-    return _weight_from_fund(lam.algebra, f), sign, length
+    return Weight(lam.algebra, f), sign, length
 
 
 def dual_weight(lam: Weight) -> Weight:

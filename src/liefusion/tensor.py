@@ -39,21 +39,24 @@ def tensor_decomposition(lam: Weight, mu: Weight) -> dict:
     """Multiplicity of each dominant nu in L(lam) (x) L(mu).
 
     Klimyk sum over the weights of L(lam); contributions whose shifted
-    weight lands on a wall are dropped.
+    weight lands on a wall are dropped. Both weights must be dominant
+    integral; anything else is rejected with ValueError.
     """
     from .rootsys import _reduce_to_dominant
 
+    lam._check(mu)
+    for w in (lam, mu):
+        if not w.is_dominant_integral():
+            raise ValueError(f"{w} is not dominant integral")
     aid = lam.algebra
-    rs = build_root_system(aid)
-    rho_f = tuple(int(x) for x in rs.weyl_vector.fundamental)
     out: dict = {}
     mu_f = mu.fundamental
     for sigma, m in all_weights(lam).items():
-        x = tuple(s + a + r for s, a, r in zip(sigma, mu_f, rho_f))
+        x = tuple(s + a + 1 for s, a in zip(sigma, mu_f))
         dom_f, sign, _ = _reduce_to_dominant(aid, x)
         if sign == 0:
             continue
-        nu_f = tuple(a - r for a, r in zip(dom_f, rho_f))
+        nu_f = tuple(a - 1 for a in dom_f)
         out[nu_f] = out.get(nu_f, 0) + sign * m
         if not out[nu_f]:
             del out[nu_f]
@@ -80,7 +83,7 @@ def _criterion_core(lam: Weight, w_fund: tuple, mu_fund: tuple) -> int | None:
     cartan = build_root_system(aid).cartan_matrix
     n = aid.rank
     for i in range(n):
-        power = int(mu_fund[i]) + 1
+        power = mu_fund[i] + 1
         shifted = tuple(w_fund[k] + power * cartan[i][k] for k in range(n))
         if char.mults.get(_reduce_to_dominant(aid, shifted)[0], 0):
             return 0
@@ -107,7 +110,7 @@ def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
     base = mod.block_dim[w_fund]
     cols = []
     for i in range(n):
-        power = int(mu_fund[i]) + 1
+        power = mu_fund[i] + 1
         src = tuple(w_fund[k] + power * cartan[i][k] for k in range(n))
         if src not in mod.block_dim:
             continue
@@ -178,19 +181,17 @@ def g2_tensor_graph(height_cap: int) -> TensorGraph:
     """
     if height_cap < 1:
         raise ValueError("height_cap must be >= 1")
-    v1 = Weight.from_fundamental(G2, [1, 0])
+    v1 = Weight(G2, (1, 0))
     nodes = _g2_nodes(height_cap)
     node_set = set(nodes)
     edges = set()
     for mu_f in nodes:
-        mu = Weight.from_fundamental(G2, mu_f)
-        dec = tensor_decomposition(v1, mu)
-        for nu_f, m in dec.items():
-            key = (int(nu_f[0]), int(nu_f[1]))
+        dec = tensor_decomposition(v1, Weight(G2, mu_f))
+        for key, m in dec.items():
             if key in node_set:
                 if m != 1:
                     raise InvariantError(
-                        f"L({nu_f}) occurs {m} times in L(1,0) x L({mu_f}), expected once"
+                        f"L({key}) occurs {m} times in L(1,0) x L({mu_f}), expected once"
                     )
                 edges.add(tuple(sorted((mu_f, key))))
     return TensorGraph(height_cap, tuple(nodes), frozenset(edges))

@@ -17,7 +17,9 @@ from liefusion.affine import (
     large_level_check,
 )
 from liefusion.rootsys import AlgebraId, Weight, build_root_system, dual_weight, inner_product
+from liefusion.highmod import DEFAULT_CAP, weyl_dimension
 from liefusion.tensor import TensorQuery, tensor_multiplicity
+from weight_reference import ref_fusion_decomposition
 
 G2 = AlgebraId("G", 2)
 
@@ -231,3 +233,24 @@ def test_reduction_with_zero_shift_is_trivial():
         W(c2, [0, 0]), W(c2, [1, 0]), level=1, a=1,
     )
     assert flags["a"]
+
+
+_FOLD_TYPES = ("A2", "B3", "C3", "G2")
+
+
+@pytest.mark.parametrize("label", _FOLD_TYPES)
+def test_fusion_decomposition_matches_weight_folding(label):
+    # every pair of admissibles at levels 1-3, charges under the default cap
+    aid = AlgebraId.parse(label)
+    checked = 0
+    for level in (1, 2, 3):
+        adm = [w.finite_part for w in admissible_weights(aid, level)]
+        for lam in adm:
+            if weyl_dimension(lam) > DEFAULT_CAP:
+                continue
+            for mu in adm:
+                got = fusion_decomposition(lam, mu, level)
+                assert got == ref_fusion_decomposition(lam, mu, level), (str(lam), str(mu))
+                assert all(type(x) is int for key in got for x in key)
+                checked += 1
+    assert checked > 0

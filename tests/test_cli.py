@@ -113,6 +113,12 @@ def test_usage_errors_exit_two(capsys):
     code = main(["fusion", "--algebra", "C2", "--level", "2", "--charge", "9,9",
                  "--source", "0,0", "--target", "0,0"])
     assert code == 2
+    # a weight that is not dominant integral is a usage error, also on the
+    # table path, and is rejected before any computation
+    for charge, source in (("1/2,0", "1,0"), ("1,0", "1/2,0"), ("-1,0", "1,0")):
+        code = main(["tensor", "--algebra", "G2", f"--charge={charge}", f"--source={source}"])
+        assert code == 2
+    assert "is not dominant integral" in capsys.readouterr().err
 
 
 def test_verify_e8_report(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from liefusion.rootsys import (
     to_dominant,
     weyl_orbit,
 )
+from weight_reference import RefWeight, ref_inner_product, ref_to_dominant
 
 DIMS = {
     "A": lambda n: n * (n + 2),
@@ -90,18 +92,6 @@ def test_cartan_adjugate(aid):
             assert sum(adj[i][k] * c[k][j] for k in range(n)) == (d if i == j else 0)
 
 
-def _fraction_inner_product(lam, mu):
-    """The Fraction Gram double sum over root coordinates that the integer
-    form replaced, kept as the reference."""
-    rs = build_root_system(lam.algebra)
-    n = lam.algebra.rank
-    gram = [[Fraction(rs.cartan_matrix[i][j]) * rs._d[j] for j in range(n)] for i in range(n)]
-    return sum(
-        (lam.coords[i] * gram[i][j] * mu.coords[j] for i in range(n) for j in range(n)),
-        Fraction(0),
-    )
-
-
 @pytest.mark.parametrize("aid", ALL_IDS, ids=str)
 def test_integer_forms(aid):
     rs = build_root_system(aid)
@@ -113,7 +103,7 @@ def test_integer_forms(aid):
             assert rs.gram6[i][j] == 6 * inner_product(ai, rs.simple_roots[j])
             # form / form_den is the form on fundamental coordinates
             wi, wj = rs.fundamental_weights[i], rs.fundamental_weights[j]
-            assert Fraction(rs.form[i][j], rs.form_den) == _fraction_inner_product(wi, wj)
+            assert Fraction(rs.form[i][j], rs.form_den) == ref_inner_product(wi, wj)
     assert rs.form_den == 6 * rs.cartan_det
 
 
@@ -143,7 +133,7 @@ def test_inner_product_matches_fraction_gram(pair):
     lam, mu = pair
     ip = inner_product(lam, mu)
     assert type(ip) is Fraction
-    assert ip == _fraction_inner_product(lam, mu)
+    assert ip == ref_inner_product(lam, mu)
     assert ip == inner_product(mu, lam)
 
 
@@ -225,11 +215,29 @@ def test_orbit_sizes_match_dominant_reduction():
         assert to_dominant(w)[0] == lam
 
 
+def weight_to_json(w: Weight) -> str:
+    return json.dumps(
+        {"algebra": str(w.algebra), "basis": "fundamental",
+         "coords": [str(c) for c in w.fundamental]}
+    )
+
+
+def weight_from_json(text: str) -> Weight:
+    data = json.loads(text)
+    aid = AlgebraId.parse(data["algebra"])
+    coords = [Fraction(c) for c in data["coords"]]
+    if data.get("basis", "fundamental") == "fundamental":
+        return Weight.from_fundamental(aid, coords)
+    return Weight.from_root_coords(aid, coords)
+
+
 def test_weight_json_roundtrip():
     w = Weight.from_fundamental(AlgebraId("B", 3), [1, 0, Fraction(1, 2)])
-    text = w.to_json()
-    assert '"1/2"' in text and '"basis": "fundamental"' in text.replace("'", '"') or "1/2" in text
-    assert Weight.from_json(text) == w
+    text = weight_to_json(w)
+    assert json.loads(text)["coords"] == ["1", "0", "1/2"]
+    assert weight_from_json(text) == w
+    root = json.dumps({"algebra": "B3", "basis": "root", "coords": [str(c) for c in w.coords]})
+    assert weight_from_json(root) == w
 
 
 def test_algebra_mismatch_rejected():
@@ -251,3 +259,66 @@ def test_self_dual_charges():
     assert dual_weight(zero) == zero
     with pytest.raises(ValueError, match="dominant"):
         dual_weight(Weight.from_fundamental(g2, [-1, 0]))
+
+
+def _entries_normalized(w: Weight) -> bool:
+    return all((type(x) is int) == (Fraction(x).denominator == 1) for x in w.fundamental)
+
+
+@st.composite
+def _weight_cases(draw):
+    aid = draw(st.sampled_from(ALL_IDS))
+    n = aid.rank
+    tuples = [draw(st.lists(_COORD, min_size=n, max_size=n)) for _ in range(3)]
+    k = draw(_COORD)
+    return aid, tuples, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weight_cases())
+def test_weight_matches_root_coordinate_reference(case):
+    aid, (fa, fb, rc), k = case
+    a, b = Weight.from_fundamental(aid, fa), Weight.from_fundamental(aid, fb)
+    ra, rb = RefWeight.from_fundamental(aid, fa), RefWeight.from_fundamental(aid, fb)
+    for w, r in ((a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                 (k * a, k * ra), (a * k, ra * k)):
+        assert w.fundamental == r.fundamental
+        assert w.coords == r.coords
+        assert all(type(c) is Fraction for c in w.coords)
+        assert _entries_normalized(w)
+    c = Weight.from_root_coords(aid, rc)
+    rcw = RefWeight.from_root_coords(aid, rc)
+    assert c.fundamental == rcw.fundamental and c.coords == rcw.coords
+    assert _entries_normalized(c)
+    assert inner_product(a, b) == ref_inner_product(ra, rb)
+    assert inner_product(a, c) == ref_inner_product(ra, rcw)
+    # equality and hash agree with the reference, whichever way a weight is built
+    assert (a == b) == (ra == rb)
+    assert (a == c) == (ra == rcw)
+    same = Weight.from_root_coords(aid, ra.coords)
+    assert same == a and hash(same) == hash(a)
+    assert Weight.from_fundamental(aid, [Fraction(x) for x in fa]) == a
+    dom, sign, length = to_dominant(a)
+    rdom, rsign, rlength = ref_to_dominant(ra)
+    assert (dom.fundamental, sign, length) == (rdom.fundamental, rsign, rlength)
+    assert dom.coords == rdom.coords and _entries_normalized(dom)
+
+
+@pytest.mark.parametrize("aid", ALL_IDS, ids=str)
+def test_root_system_weights_match_reference(aid):
+    rs = build_root_system(aid)
+    n = aid.rank
+    for i in range(n):
+        unit = [1 if k == i else 0 for k in range(n)]
+        assert rs.simple_roots[i].coords == RefWeight.from_root_coords(aid, unit).coords
+        assert rs.fundamental_weights[i].coords == RefWeight.from_fundamental(aid, unit).coords
+    assert rs.weyl_vector.coords == RefWeight.from_fundamental(aid, [1] * n).coords
+    assert [r.coords for r in rs.positive_roots] == [
+        RefWeight.from_root_coords(aid, r).coords for r in rs.positive_root_coords
+    ]
+    # the comarks are the theta-pairings of the fundamental weights
+    theta = rs.highest_root
+    assert list(rs.comarks) == [inner_product(w, theta) for w in rs.fundamental_weights]
+    assert all(type(c) is int for c in rs.comarks)
+    for w in rs.simple_roots + rs.fundamental_weights + rs.positive_roots:
+        assert all(type(x) is int for x in w.fundamental)

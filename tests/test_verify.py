@@ -2,6 +2,7 @@
 import itertools
 from fractions import Fraction
 
+from liefusion import linalg
 from liefusion.highmod import dominant_character, weyl_dimension
 from liefusion.rootsys import AlgebraId, Weight, build_root_system
 from liefusion.verify import VerificationReport, verify_e8, verify_full
@@ -61,7 +62,7 @@ def brute_multiplicity(aid, lam, mu, weyl, pfun):
     """Alternating sum over the Weyl group with the partition function."""
     rs = build_root_system(aid)
     n = aid.rank
-    inv = rs._cartan_inv
+    inv = linalg.inverse([[Fraction(x) for x in row] for row in rs.cartan_matrix])
     rho = tuple(1 for _ in range(n))
     lam_rho = tuple(int(a) + 1 for a in lam.fundamental)
     mu_rho = tuple(Fraction(a) + 1 for a in mu.fundamental)
