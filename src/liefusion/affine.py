@@ -124,18 +124,7 @@ def casimir_eigenvalue(lam: Weight, cap: int | None = None) -> Fraction:
         return {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row)}
 
     # the echelon decides independence; basis keeps the unreduced matrices
-    ech = linalg.Echelon()
-    basis = [m for m in gens if ech.add(flat(m))]
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(basis):
-                c = _comm(a, b)
-                if ech.add(flat(c)):
-                    basis.append(c)
-                    new.append(c)
-        frontier = new
+    basis, _ = linalg.closure(gens, lambda a, kept: (_comm(a, b) for b in kept), flat)
 
     k = len(basis)
     tr = linalg.zeros(k, k)

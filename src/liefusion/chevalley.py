@@ -183,22 +183,9 @@ def nested_bracket(alg: StructureAlgebra, word) -> Element:
 
 def unitary_closure(alg: StructureAlgebra, gens) -> list[Element]:
     """Basis of the Lie span closure of the generators and their stars."""
-    ech = linalg.Echelon()
-    live = []
-    for g in gens:
-        for e in (g, alg.star(g)):
-            if ech.add(e):
-                live.append(e)
-    frontier = list(live)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in live:
-                c = alg.bracket(a, b)
-                if ech.add(c):
-                    new.append(c)
-        live.extend(new)
-        frontier = new
+    seeds = [e for g in gens for e in (g, alg.star(g))]
+    _, ech = linalg.closure(
+        seeds, lambda a, kept: (alg.bracket(a, b) for b in kept), dict)
     return ech.basis()
 
 
@@ -628,16 +615,9 @@ def _full_ops(mod):
 
 def _span_closure(ops, seed_vecs) -> linalg.Echelon:
     """Echelon basis of the span of seed_vecs closed under the matrices ops."""
-    ech = linalg.Echelon()
-    frontier = [v for v in seed_vecs if ech.add(dict(enumerate(v)))]
-    while frontier:
-        new = []
-        for v in frontier:
-            for op in ops:
-                w = linalg.matvec(op, v)
-                if ech.add(dict(enumerate(w))):
-                    new.append(w)
-        frontier = new
+    _, ech = linalg.closure(
+        seed_vecs, lambda v, _: (linalg.matvec(op, v) for op in ops),
+        lambda v: dict(enumerate(v)))
     return ech
 
 

@@ -41,6 +41,13 @@ def _weight(algebra: str, coords: str) -> Weight:
     return Weight.from_fundamental(AlgebraId.parse(algebra), _parse_coords(coords))
 
 
+def _require(args, context: str, *names: str) -> None:
+    """Raise ValueError (a usage error) naming the options of names left out."""
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"{context} needs {', '.join(missing)}")
+
+
 def _emit(payload: dict) -> None:
     payload.setdefault("schema", SCHEMA)
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
@@ -155,6 +162,8 @@ def _cmd_verify_e8(args) -> int:
 
 
 def _cmd_compress_check(args) -> int:
+    if args.shift is not None:
+        _require(args, "--shift", "source1", "target1", "sublevel")
     q = FusionQuery(
         AffineWeight(_weight(args.algebra, args.charge), args.level),
         AffineWeight(_weight(args.algebra, args.source), args.level),
@@ -203,6 +212,7 @@ def _cmd_lattice(args) -> int:
             }
         )
         return 0
+    _require(args, "--op fusion", "charge", "source", "target")
     lam = _parse_coords(args.charge)
     mu = _parse_coords(args.source)
     nu = _parse_coords(args.target)

@@ -334,12 +334,10 @@ class ModeMatrix:
 
     source_charge: tuple
     target_charge: tuple
-    mode_index: Fraction
     shift: int
     cutoff: int
     blocks: dict            # src level -> (numerators, den), tgt rows x src cols
     space: FockSpace        # the Fock basis of both the source and the target
-    boundary_src_levels: tuple
 
     def float_matrix(self) -> np.ndarray:
         """Dense float matrix in orthonormalized coordinates."""
@@ -392,12 +390,9 @@ def heisenberg_mode(space: ChargeSpace, alpha, mu, s, cutoff: int) -> ModeMatrix
     if shift_f.denominator != 1:
         raise ValueError(f"mode {s} is off the charge grid for this sector")
     shift = int(shift_f)
-    boundary = tuple(
-        l for l in range(cutoff + 1) if not 0 <= l + shift <= cutoff
-    )
     return ModeMatrix(mu, tuple(a + m for a, m in zip(alpha, mu)),
-                      s, shift, cutoff, oscillator_mode(space, alpha, shift, cutoff),
-                      _fock_space(space, cutoff), boundary)
+                      shift, cutoff, oscillator_mode(space, alpha, shift, cutoff),
+                      _fock_space(space, cutoff))
 
 
 def oscillator_mode(space: ChargeSpace, alpha, n: int, cutoff: int) -> dict:

@@ -495,6 +495,7 @@ def hom_space_basis(lam: Weight, mu: Weight, nu: Weight,
 
     hws = highest_weight_vectors(mlam, mmu, nu)
     out = []
+    gram_inv_cache: dict = {}  # f -> inverse of mnu.gram[f], shared by every w
     for w in hws:
         # S: L(nu) -> L(lam) (x) L(mu), S(top) = w, extended by lowerings
         svecs: dict = {}
@@ -528,7 +529,6 @@ def hom_space_basis(lam: Weight, mu: Weight, nu: Weight,
 
         # T = adjoint of S w.r.t. the contravariant forms, blockwise
         columns: dict = {}
-        gram_inv_cache: dict = {}
         for f in mnu.blocks:
             r = mnu.block_dim[f]
             pairs = _tensor_pair_blocks(mlam, mmu, f)

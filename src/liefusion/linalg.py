@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (rows). There are two eliminations,
-both plain Gaussian elimination with exact pivots; sizes in this package
-stay small enough (a few hundred rows) that fraction growth is not a
-concern:
+Matrices are lists of lists of Fraction (rows). There is one elimination
+and one span closure; sizes in this package stay small enough (a few
+hundred rows) that fraction growth is not a concern:
 
-- `rref`, dense reduced row echelon form, under `rank`, `nullspace`,
-  `solve` and `inverse`;
-- `Echelon`, an incremental echelon basis of sparse vectors {key: Fraction},
-  under `det` and the span closures of `chevalley` and `affine`.
+- `Echelon`, an incremental echelon basis of sparse vectors {key: Fraction}
+  by plain Gaussian elimination with exact pivots. `rank` counts its kept
+  rows, `det` multiplies their leads, and `Echelon.reduced` back-substitutes
+  them through the same `reduce` into the reduced row echelon form that
+  `rref`, `nullspace`, `solve` and `inverse` read;
+- `closure`, the breadth-first span closure of seeds under a step map on an
+  `Echelon`, under the Lie and module closures of `chevalley` and `affine`.
 
 Products run on integer numerators over one common denominator per
 operand: `scaled_matmul` multiplies (numerators, d) pairs in plain int
@@ -108,35 +110,61 @@ class Echelon:
     def basis(self) -> list[dict]:
         return [b for _, b in self.rows]
 
+    def reduced(self) -> list[dict]:
+        """The kept rows in reduced echelon form: sorted by lead, leads ONE.
+
+        A kept row holds no key below its lead, so reducing the rows largest
+        lead first against those already done clears every other lead and
+        leaves this one alone: back-substitution through `reduce`.
+        """
+        back = Echelon()
+        for lead, b in sorted(self.rows, key=lambda r: r[0], reverse=True):
+            v = back.reduce(b)
+            c = v[lead]
+            if c != 1:
+                v = {k: x / c for k, x in v.items()}
+            v[lead] = ONE
+            back.rows.append((lead, v))
+        return [b for _, b in reversed(back.rows)]
+
+
+def closure(seeds, step, vec) -> tuple[list, Echelon]:
+    """Span closure of seeds under step, in breadth-first rounds.
+
+    An element is kept when vec(element), a sparse vector, is independent of
+    those kept before it. Each round applies step(a, kept) to every a kept in
+    the round before, with kept as it stood at the start of the round.
+    Returns the kept elements, unreduced, and their `Echelon`.
+    """
+    ech = Echelon()
+    kept = [s for s in seeds if ech.add(vec(s))]
+    frontier = kept
+    while frontier:
+        frontier = [c for a in frontier for c in step(a, kept) if ech.add(vec(c))]
+        kept.extend(frontier)
+    return kept, ech
+
+
+def _echelon(a: Matrix) -> Echelon:
+    ech = Echelon()
+    for row in a:
+        ech.add(dict(enumerate(row)))
+    return ech
+
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices)."""
-    m = [row[:] for row in a]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    if not a:
+        return [], []
+    ncols = len(a[0])
+    rows = _echelon(a).reduced()
+    m = [[b.get(c, ZERO) for c in range(ncols)] for b in rows]
+    m += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
+    return m, [min(b) for b in rows]
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(_echelon(a).rows)
 
 
 def nullspace(a: Matrix) -> list[Vector]:

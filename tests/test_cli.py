@@ -106,7 +106,7 @@ def test_compress_check(capsys):
     assert data["reduction_conditions"]["a"] is True
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fusion", "--algebra", "C2"])
     assert exc.value.code == 2
@@ -119,6 +119,18 @@ def test_usage_errors_exit_two(capsys):
         code = main(["tensor", "--algebra", "G2", f"--charge={charge}", f"--source={source}"])
         assert code == 2
     assert "is not dominant integral" in capsys.readouterr().err
+    # --shift needs every flag of the reduced triple, checked before any computation
+    compress = ["compress-check", "--algebra", "C2", "--level", "2", "--charge", "1,0",
+                "--source", "1,0", "--target", "2,0", "--shift", "1,0"]
+    for extra, missing in (((), "--source1, --target1, --sublevel"),
+                           (("--source1", "1,0", "--target1", "1,0"), "--sublevel"),
+                           (("--sublevel", "1"), "--source1, --target1")):
+        assert main(compress + list(extra)) == 2
+        assert f"--shift needs {missing}" in capsys.readouterr().err
+    gram = tmp_path / "g.json"
+    gram.write_text("[[2]]")
+    assert main(["lattice", "--gram", str(gram), "--op", "fusion"]) == 2
+    assert "--op fusion needs --charge, --source, --target" in capsys.readouterr().err
 
 
 def test_verify_e8_report(capsys):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liefusion import linalg
-from liefusion.chevalley import build_simply_laced, unitary_closure
-from liefusion.rootsys import AlgebraId
+from liefusion.affine import _comm, casimir_eigenvalue
+from liefusion.chevalley import _span_closure, build_simply_laced, unitary_closure
+from liefusion.highmod import realize_module
+from liefusion.rootsys import AlgebraId, Weight
 
 
 def frac_matrix(rows):
@@ -74,6 +76,70 @@ def test_matmul_empty_shapes():
 
 
 # -- references: the eliminations that Echelon and det replaced ---------------
+
+
+def _ref_rref(a):
+    """The dense Gauss-Jordan loop that rref ran before Echelon.reduced."""
+    m = [row[:] for row in a]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _ref_nullspace(a):
+    if not a:
+        return []
+    ncols = len(a[0])
+    m, pivots = _ref_rref(a)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _ref_solve(a, b):
+    n = len(a)
+    red, pivots = _ref_rref([a[i][:] + [b[i]] for i in range(n)])
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return [red[i][n] for i in range(n)]
+
+
+def _ref_inverse(a):
+    n = len(a)
+    red, pivots = _ref_rref([a[i][:] + linalg.identity(n)[i] for i in range(n)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in red]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
 
 
 def _label_key(lbl):
@@ -288,3 +354,125 @@ def test_det_small_cases():
     assert linalg.det([[0, 1], [1, 0]]) == -1
     assert linalg.det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
     assert linalg.det([[1, 2], [2, 4]]) == 0
+
+
+@st.composite
+def _matrix(draw):
+    """Any shape up to 5 x 6, [] and [[]] among them, often rank-deficient."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    rows = [draw(st.lists(_entries, min_size=m, max_size=m)) for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        # force a dependent row: a combination of two others
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        c, d = draw(_entries), draw(_entries)
+        rows[k] = [c * x + d * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix())
+@example([])
+@example([[]])
+@example([[], []])
+def test_rref_rank_nullspace_match_dense_reference(a):
+    red, pivots = linalg.rref(a)
+    assert (red, pivots) == _ref_rref(a)
+    assert linalg.rank(a) == len(pivots)
+    assert linalg.nullspace(a) == _ref_nullspace(a)
+    # zeros and leads share the module constants
+    assert all(x is linalg.ZERO for row in red for x in row if not x)
+    assert all(red[r][c] is linalg.ONE for r, c in enumerate(pivots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(_square(n), st.lists(_entries, min_size=n, max_size=n))))
+def test_solve_inverse_match_dense_reference(ab):
+    a, b = ab
+    assert _outcome(linalg.solve, a, b) == _outcome(_ref_solve, a, b)
+    assert _outcome(linalg.inverse, a) == _outcome(_ref_inverse, a)
+
+
+# -- references: the closure loops that linalg.closure replaced ---------------
+
+
+def _ref_span_closure(ops, seed_vecs):
+    ech = linalg.Echelon()
+    frontier = [v for v in seed_vecs if ech.add(dict(enumerate(v)))]
+    while frontier:
+        new = []
+        for v in frontier:
+            for op in ops:
+                w = linalg.matvec(op, v)
+                if ech.add(dict(enumerate(w))):
+                    new.append(w)
+        frontier = new
+    return ech
+
+
+def _flat(m):
+    return {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row)}
+
+
+def _ref_casimir_closure(gens):
+    """The Casimir loop: later elements of a round also bracket this round's."""
+    ech = linalg.Echelon()
+    basis = [m for m in gens if ech.add(_flat(m))]
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(basis):
+                c = _comm(a, b)
+                if ech.add(_flat(c)):
+                    basis.append(c)
+                    new.append(c)
+        frontier = new
+    return basis
+
+
+def _rows(ech):
+    return [(lead, list(b.items())) for lead, b in ech.rows]
+
+
+def test_span_closure_matches_reference_loop():
+    rng = random.Random(4)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        ops = [[[_random_rational(rng) if rng.random() < 0.3 else Fraction(0)
+                 for _ in range(n)] for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        seeds = [[_random_rational(rng) if rng.random() < 0.5 else Fraction(0)
+                  for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        assert _rows(_span_closure(ops, seeds)) == _rows(_ref_span_closure(ops, seeds))
+    # the folded so_7 inside the standard module of so_8: the two last
+    # nodes merge, and the highest vector spans a 7-dim submodule
+    mod = realize_module(Weight.from_fundamental(AlgebraId("D", 4), [1, 0, 0, 0]))
+    ops = []
+    for x in "EF":
+        ms = [mod.full_matrix(x, i) for i in range(4)]
+        ops += ms[:2] + [[[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(ms[2], ms[3])]]
+    seed = [[Fraction(int(i == 0)) for i in range(mod.dim)]]
+    new, ref = _span_closure(ops, seed), _ref_span_closure(ops, seed)
+    assert len(new.rows) == 7
+    assert _rows(new) == _rows(ref)
+
+
+def test_casimir_closure_spans_the_reference_space(monkeypatch):
+    seen = []
+    closure = linalg.closure
+
+    def spy(*args):
+        seen.append(closure(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "closure", spy)
+    for aid, f, dim in ((AlgebraId("A", 2), [1, 0], 8), (AlgebraId("C", 2), [1, 0], 10),
+                        (AlgebraId("G", 2), [1, 0], 14)):
+        lam = Weight.from_fundamental(aid, f)
+        casimir_eigenvalue(lam)
+        basis, ech = seen.pop()
+        mod = realize_module(lam)
+        gens = [mod.full_matrix(x, i) for x in "EFH" for i in range(aid.rank)]
+        ref = _ref_casimir_closure(gens)
+        assert len(basis) == len(ech.rows) == len(ref) == dim
+        assert all(not ech.reduce(_flat(m)) for m in ref)
