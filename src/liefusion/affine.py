@@ -100,7 +100,7 @@ def conformal_weight(w: AffineWeight) -> Fraction:
     return num / (2 * (w.level + rs.dual_coxeter))
 
 
-def casimir_eigenvalue(lam: Weight, cap: int | None = None) -> Fraction:
+def casimir_eigenvalue(lam: Weight) -> Fraction:
     """Casimir eigenvalue on L(lam) from an explicit realization.
 
     Independent route: close the generator matrices into a matrix Lie
@@ -110,7 +110,7 @@ def casimir_eigenvalue(lam: Weight, cap: int | None = None) -> Fraction:
     from . import linalg
     from .highmod import realize_module
 
-    mod = realize_module(lam, cap)
+    mod = realize_module(lam)
     aid = lam.algebra
     rs = build_root_system(aid)
     n = aid.rank
@@ -359,8 +359,7 @@ class HypothesisViolation(Exception):
 
 
 def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
-                       mu1: Weight, nu1: Weight, level: int, a: int,
-                       cap: int | None = None) -> dict:
+                       mu1: Weight, nu1: Weight, level: int, a: int) -> dict:
     """Evaluate the three level-reduction conditions.
 
     The hypothesis block is checked first: multiplicity-free charge,
@@ -371,7 +370,7 @@ def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
     """
     from .highmod import full_character, hom_space_basis
 
-    char = full_character(lam, cap)
+    char = full_character(lam)
     if any(m > 1 for m in char.mults.values()):
         raise HypothesisViolation("charge weight spaces exceed dimension 1")
     pair_max = max(theta_pairing(lam), theta_pairing(mu1), theta_pairing(nu1))
@@ -390,13 +389,13 @@ def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
     flags = {"a": mu == mu1 + rho and nu == nu1 + rho, "b": False, "c": False}
 
     w = (nu - mu).fundamental
-    ts = hom_space_basis(lam, mu1, nu1, cap)
+    ts = hom_space_basis(lam, mu1, nu1)
     t = ts[0] if ts else None
 
     if t is not None and mu == mu1 + rho and tensor_multiplicity(
         TensorQuery(nu1, rho, nu)
     ) >= 1:
-        nu1_char = full_character(nu1, cap)
+        nu1_char = full_character(nu1)
         if all(m <= 1 for m in nu1_char.mults.values()):
             mod = t.mlam
             if w in mod.block_dim:
@@ -406,7 +405,7 @@ def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
     if t is not None and nu == nu1 + rho and tensor_multiplicity(
         TensorQuery(mu1, rho, mu)
     ) >= 1:
-        mu1_char = full_character(mu1, cap)
+        mu1_char = full_character(mu1)
         if all(m <= 1 for m in mu1_char.mults.values()):
             mod = t.mlam
             top_nu1 = (nu1.fundamental, 0)

@@ -288,8 +288,7 @@ def dynkin_index(sub: EmbeddedSubalgebra) -> int:
 
 
 def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
-           module: DominantCharacter | str = "adjoint",
-           restrict=None) -> dict:
+           module: DominantCharacter | str = "adjoint") -> dict:
     """Decompose an ambient module over the subalgebra.
 
     Weights are restricted through the normalized coroot images and the
@@ -310,19 +309,14 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
             addw(sub.restrict_root_weight(r))
         total = amb.dim
     else:
-        if restrict is None:
-            hs = [sub.coroot_normalized(i) for i in range(len(sub.generators))]
-
-            def restrict(fund):
-                return tuple(
-                    sum((c * fund[lbl[1]] for lbl, c in h.items() if lbl[0] == "h"),
-                        ZERO)
-                    for h in hs
-                )
-
+        # restrict each weight through the normalized coroot images
+        hs = [sub.coroot_normalized(i) for i in range(len(sub.generators))]
         total = 0
         for fund, m in all_weights(module.highest_weight).items():
-            addw(restrict(fund), m)
+            addw(tuple(
+                sum((c * fund[lbl[1]] for lbl, c in h.items() if lbl[0] == "h"), ZERO)
+                for h in hs
+            ), m)
             total += m
 
     # det(C) times the height of a weight: the adjugate row sums are det

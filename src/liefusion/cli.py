@@ -328,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-paper", help="run the full verification suite")
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--cap", type=int, default=512)
+    sp.add_argument("--cap", type=int, default=512,
+                    help="sweep size of the tensor check: every pair of modules "
+                         "with dim product <= CAP; above 512 raise LIEFUSION_CAP too")
     sp.add_argument("--cutoffs", default="8,12,16")
     sp.set_defaults(func=_cmd_verify_full)
 

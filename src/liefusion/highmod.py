@@ -26,7 +26,7 @@ from functools import lru_cache
 from . import linalg
 from .errors import InvariantError
 from .linalg import Matrix, rref
-from .rootsys import AlgebraId, Weight, build_root_system, to_dominant, weyl_orbit_fund
+from .rootsys import Weight, build_root_system, to_dominant, weyl_orbit_fund
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,8 +38,11 @@ class CapExceeded(Exception):
     """A module was larger than the configured dimension cap."""
 
 
-def _cap() -> int:
-    return int(os.environ.get("LIEFUSION_CAP", DEFAULT_CAP))
+def check_cap(dim: int, what: str) -> None:
+    """Refuse dim above the module cap: LIEFUSION_CAP, default 512."""
+    cap = int(os.environ.get("LIEFUSION_CAP", DEFAULT_CAP))
+    if dim > cap:
+        raise CapExceeded(f"{what} = {dim} exceeds cap {cap} (set LIEFUSION_CAP to raise it)")
 
 
 @lru_cache(maxsize=None)
@@ -142,23 +145,16 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     # recursion by increasing depth
     dominants.sort(key=lambda ft: sum(ft[1]))
     mults: dict = {lam_f: 1}
-    # per positive root: integer root coords, (e_i|a) scaled, (a|a) scaled
+    # per positive root: fundamental coords, (e_i|a) scaled, (a|a) scaled, (lam|a) scaled
     pos_data = []
     for ac in rs.positive_root_coords:
         galpha = [sum(sgram[i][j] * ac[j] for j in range(n)) for i in range(n)]
-        a_norm = sum(ac[i] * galpha[i] for i in range(n))
-        a_lam = sum(ac[i] * lam_ip[i] for i in range(n))
-        pos_data.append((ac, galpha, a_norm, a_lam))
-
-    pos_data = [
-        (
+        pos_data.append((
             tuple(sum(ac[i] * cartan[i][j] for i in range(n)) for j in range(n)),
             galpha,
-            a_norm,
-            a_lam,
-        )
-        for ac, galpha, a_norm, a_lam in pos_data
-    ]
+            sum(ac[i] * galpha[i] for i in range(n)),
+            sum(ac[i] * lam_ip[i] for i in range(n)),
+        ))
 
     for f, t in dominants[1:]:
         total = 0
@@ -206,12 +202,9 @@ def weight_multiplicity(lam: Weight, mu: Weight) -> int:
     return dominant_character(lam).multiplicity(mu)
 
 
-def full_character(lam: Weight, cap: int | None = None) -> DominantCharacter:
-    """Complete dominant multiplicity table, guarded by the dimension cap."""
-    cap = _cap() if cap is None else cap
-    dim = weyl_dimension(lam)
-    if dim > cap:
-        raise CapExceeded(f"dim L({lam}) = {dim} exceeds cap {cap}")
+def full_character(lam: Weight) -> DominantCharacter:
+    """Complete dominant multiplicity table, guarded by the module cap."""
+    check_cap(weyl_dimension(lam), f"dim L({lam})")
     return dominant_character(lam)
 
 
@@ -225,9 +218,9 @@ def _all_weights_raw(lam: Weight) -> dict:
     return out
 
 
-def all_weights(lam: Weight, cap: int | None = None) -> dict:
+def all_weights(lam: Weight) -> dict:
     """fundamental-coordinate tuple -> multiplicity, over the full orbit."""
-    full_character(lam, cap)  # cap guard
+    full_character(lam)  # cap guard
     return _all_weights_raw(lam)
 
 
@@ -284,18 +277,17 @@ class ModuleRealization:
 
 
 @lru_cache(maxsize=None)
-def realize_module(lam: Weight, cap: int | None = None) -> ModuleRealization:
-    """Build L(lam) with exact generator matrices and Gram blocks."""
-    cap = _cap() if cap is None else cap
-    dim = weyl_dimension(lam)
-    if dim > cap:
-        raise CapExceeded(f"dim L({lam}) = {dim} exceeds cap {cap}")
+def realize_module(lam: Weight) -> ModuleRealization:
+    """Build L(lam) with exact generator matrices and Gram blocks.
 
+    The module cap is checked when the module is built (through
+    ``all_weights``); a module already in the cache is returned as it is.
+    """
+    weights = all_weights(lam)
     aid = lam.algebra
     rs = build_root_system(aid)
     n = aid.rank
     cartan = rs.cartan_matrix
-    weights = all_weights(lam, cap)
 
     # depth of a weight = height of (lam - mu) in the root basis; the row
     # sums of the Cartan adjugate are det times the heights of the
@@ -391,6 +383,7 @@ def realize_module(lam: Weight, cap: int | None = None) -> ModuleRealization:
                     for r in range(mod.block_dim[src])
                 ]
 
+    dim = weyl_dimension(lam)
     if mod.dim != dim:
         raise InvariantError(f"realized dimension {mod.dim} of L({lam}) != Weyl formula {dim}")
     return mod
@@ -415,146 +408,114 @@ class IntertwinerMap:
         return self.columns.get((f1, f2, a, b), {})
 
 
-def _tensor_pair_blocks(mlam: ModuleRealization, mmu: ModuleRealization, kappa):
-    """Pairs (f1, f2) of weight blocks with f1 + f2 = kappa (fund coords)."""
-    out = []
-    mu_set = set(mmu.blocks)
+def _pair_basis(mlam: ModuleRealization, mmu: ModuleRealization, kappa) -> list:
+    """Pair basis vectors (f1, f2, a, b) with f1 + f2 = kappa (fund coords)."""
+    basis = []
     for f1 in mlam.blocks:
         f2 = tuple(k - x for k, x in zip(kappa, f1))
-        if f2 in mu_set:
-            out.append((f1, f2))
-    return out
-
-
-def _pair_basis(mlam, mmu, pairs):
-    basis = []
-    for f1, f2 in pairs:
-        for a in range(mlam.block_dim[f1]):
-            for b in range(mmu.block_dim[f2]):
-                basis.append((f1, f2, a, b))
+        if f2 in mmu.block_dim:
+            basis.extend((f1, f2, a, b) for a in range(mlam.block_dim[f1])
+                         for b in range(mmu.block_dim[f2]))
     return basis
+
+
+def _tensor_action(mlam: ModuleRealization, mmu: ModuleRealization, kind: str,
+                  i: int, vec: dict) -> dict:
+    """(X (x) 1 + 1 (x) X) vec for X = E_i (kind "E") or F_i (kind "F").
+
+    vec is a sparse tensor vector {(f1, f2, a, b): coeff}; the image comes
+    back in the same form, without zero entries.
+    """
+    step = build_root_system(mlam.algebra).cartan_matrix[i]
+    if kind == "E":
+        blocks1, blocks2 = mlam.e_block, mmu.e_block
+    else:
+        blocks1, blocks2 = mlam.f_block, mmu.f_block
+        step = [-x for x in step]
+    out: dict = {}
+    for (f1, f2, a, b), c in vec.items():
+        blk = blocks1.get((i, f1))
+        if blk is not None:
+            g1 = tuple(x + s for x, s in zip(f1, step))
+            for r, row in enumerate(blk):
+                if row[a]:
+                    key = (g1, f2, r, b)
+                    out[key] = out.get(key, ZERO) + c * row[a]
+        blk = blocks2.get((i, f2))
+        if blk is not None:
+            g2 = tuple(x + s for x, s in zip(f2, step))
+            for r, row in enumerate(blk):
+                if row[b]:
+                    key = (f1, g2, a, r)
+                    out[key] = out.get(key, ZERO) + c * row[b]
+    return {key: v for key, v in out.items() if v}
 
 
 def highest_weight_vectors(mlam: ModuleRealization, mmu: ModuleRealization,
                            nu: Weight) -> list[dict]:
     """Vectors of weight nu in the tensor product killed by all raisings."""
-    aid = mlam.algebra
-    rs = build_root_system(aid)
-    n = aid.rank
-    cartan = rs.cartan_matrix
-    kappa = nu.fundamental
-    pairs = _tensor_pair_blocks(mlam, mmu, kappa)
-    basis = _pair_basis(mlam, mmu, pairs)
-    index = {key: t for t, key in enumerate(basis)}
+    basis = _pair_basis(mlam, mmu, nu.fundamental)
     if not basis:
         return []
-
-    rows = []
-    for i in range(n):
-        kappa_up = tuple(kappa[k] + cartan[i][k] for k in range(n))
-        pairs_up = _tensor_pair_blocks(mlam, mmu, kappa_up)
-        basis_up = _pair_basis(mlam, mmu, pairs_up)
-        index_up = {key: t for t, key in enumerate(basis_up)}
-        if not basis_up:
-            continue
-        mat = linalg.zeros(len(basis_up), len(basis))
-        for (f1, f2, a, b), col in index.items():
-            blk = mlam.e_block.get((i, f1))
-            if blk is not None:
-                f1u = tuple(f1[k] + cartan[i][k] for k in range(n))
-                for r in range(mlam.block_dim[f1u]):
-                    if blk[r][a]:
-                        mat[index_up[(f1u, f2, r, b)]][col] += blk[r][a]
-            blk = mmu.e_block.get((i, f2))
-            if blk is not None:
-                f2u = tuple(f2[k] + cartan[i][k] for k in range(n))
-                for r in range(mmu.block_dim[f2u]):
-                    if blk[r][b]:
-                        mat[index_up[(f1, f2u, a, r)]][col] += blk[r][b]
-        rows.extend(mat)
-    if not rows:
-        sols = [[ONE if t == s else ZERO for t in range(len(basis))]
-                for s in range(len(basis))]
-    else:
-        sols = linalg.nullspace(rows)
+    # one row per raised pair basis vector, over the columns of basis
+    rows: dict = {}
+    for col, key in enumerate(basis):
+        for i in range(mlam.algebra.rank):
+            for up_key, x in _tensor_action(mlam, mmu, "E", i, {key: ONE}).items():
+                rows.setdefault(up_key, {})[col] = x
+    dense = [[row.get(c, ZERO) for c in range(len(basis))] for row in rows.values()]
+    sols = linalg.nullspace(dense or [[ZERO] * len(basis)])
     return [
         {basis[t]: v[t] for t in range(len(basis)) if v[t]} for v in sols
     ]
 
 
-def hom_space_basis(lam: Weight, mu: Weight, nu: Weight,
-                    cap: int | None = None) -> list[IntertwinerMap]:
+def hom_space_basis(lam: Weight, mu: Weight, nu: Weight) -> list[IntertwinerMap]:
     """Basis of the intertwiner space L(lam) (x) L(mu) -> L(nu)."""
-    mlam = realize_module(lam, cap)
-    mmu = realize_module(mu, cap)
-    mnu = realize_module(nu, cap)
-    aid = lam.algebra
-    rs = build_root_system(aid)
-    n = aid.rank
-    cartan = rs.cartan_matrix
+    mlam = realize_module(lam)
+    mmu = realize_module(mu)
+    mnu = realize_module(nu)
+    cartan = build_root_system(lam.algebra).cartan_matrix
 
-    hws = highest_weight_vectors(mlam, mmu, nu)
     out = []
-    gram_inv_cache: dict = {}  # f -> inverse of mnu.gram[f], shared by every w
-    for w in hws:
+    gram_inv: dict = {}  # f -> inverse of mnu.gram[f], shared by every w
+    for w in highest_weight_vectors(mlam, mmu, nu):
         # S: L(nu) -> L(lam) (x) L(mu), S(top) = w, extended by lowerings
-        svecs: dict = {}
-        top = nu.fundamental
-        svecs[(top, 0)] = w
+        svecs = {(nu.fundamental, 0): w}
         for f in mnu.blocks:
             for k in range(mnu.block_dim[f]):
-                if (f, k) in svecs:
-                    continue
-                j, b = mnu.parent[(f, k)]
-                src = tuple(f[t] + cartan[j][t] for t in range(n))
-                sv = svecs[(src, b)]
-                # apply F_j (x) 1 + 1 (x) F_j
-                img: dict = {}
-                for (f1, f2, a, c2), coef in sv.items():
-                    blk = mlam.f_block.get((j, f1))
-                    if blk is not None:
-                        f1d = tuple(f1[t] - cartan[j][t] for t in range(n))
-                        for r in range(mlam.block_dim[f1d]):
-                            if blk[r][a]:
-                                key = (f1d, f2, r, c2)
-                                img[key] = img.get(key, ZERO) + coef * blk[r][a]
-                    blk = mmu.f_block.get((j, f2))
-                    if blk is not None:
-                        f2d = tuple(f2[t] - cartan[j][t] for t in range(n))
-                        for r in range(mmu.block_dim[f2d]):
-                            if blk[r][c2]:
-                                key = (f1, f2d, a, r)
-                                img[key] = img.get(key, ZERO) + coef * blk[r][c2]
-                svecs[(f, k)] = {k2: v for k2, v in img.items() if v}
+                if (f, k) not in svecs:
+                    j, b = mnu.parent[(f, k)]
+                    src = tuple(x + y for x, y in zip(f, cartan[j]))
+                    svecs[(f, k)] = _tensor_action(mlam, mmu, "F", j, svecs[(src, b)])
 
-        # T = adjoint of S w.r.t. the contravariant forms, blockwise
+        # T = adjoint of S w.r.t. the contravariant forms, blockwise:
+        # rhs[(f1, f2, a, b)][k] = <S v_k, e_a (x) e_b>, summed from the Gram
+        # rows, then T e_a (x) e_b = G_f^-1 rhs
         columns: dict = {}
         for f in mnu.blocks:
             r = mnu.block_dim[f]
-            pairs = _tensor_pair_blocks(mlam, mmu, f)
-            if not pairs:
+            rhs: dict = {}
+            for k in range(r):
+                for (f1, f2, c, d), coef in svecs[(f, k)].items():
+                    row2 = mmu.gram[f2][d]
+                    for a, x in enumerate(mlam.gram[f1][c]):
+                        if x:
+                            x *= coef
+                            for b, y in enumerate(row2):
+                                if y:
+                                    v = rhs.setdefault((f1, f2, a, b), [ZERO] * r)
+                                    v[k] += x * y
+            if not rhs:
                 continue
-            if f not in gram_inv_cache:
-                gram_inv_cache[f] = linalg.inverse(mnu.gram[f])
-            ginv = gram_inv_cache[f]
-            for f1, f2 in pairs:
-                g1, g2 = mlam.gram[f1], mmu.gram[f2]
-                for a in range(mlam.block_dim[f1]):
-                    for b in range(mmu.block_dim[f2]):
-                        rhs = []
-                        for k in range(r):
-                            sv = svecs[(f, k)]
-                            tot = ZERO
-                            for (h1, h2, c, d), coef in sv.items():
-                                if h1 == f1 and h2 == f2:
-                                    tot += coef * g1[c][a] * g2[d][b]
-                            rhs.append(tot)
-                        col = {
-                            (f, k): sum((ginv[k][t] * rhs[t] for t in range(r)), ZERO)
-                            for k in range(r)
-                        }
-                        col = {k2: v for k2, v in col.items() if v}
-                        if col:
-                            columns[(f1, f2, a, b)] = col
+            if f not in gram_inv:
+                gram_inv[f] = linalg.inverse(mnu.gram[f])
+            ginv = gram_inv[f]
+            for key, v in rhs.items():
+                col = {(f, k): sum((ginv[k][t] * v[t] for t in range(r)), ZERO)
+                       for k in range(r)}
+                col = {k2: x for k2, x in col.items() if x}
+                if col:
+                    columns[key] = col
         out.append(IntertwinerMap(mlam, mmu, mnu, columns))
     return out

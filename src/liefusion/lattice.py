@@ -50,7 +50,13 @@ class IntegralLattice:
 
     @classmethod
     def from_rows(cls, rows) -> "IntegralLattice":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        """Lattice of a Gram matrix given as rows; a non-integer entry is a ValueError."""
+        def entry(x):
+            if int(x) != x:
+                raise ValueError(f"gram matrix must be integral: entry {x}")
+            return int(x)
+
+        return cls(tuple(tuple(map(entry, row)) for row in rows))
 
     @property
     def rank(self) -> int:

@@ -132,14 +132,14 @@ def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
     return base - linalg.rank(cols)
 
 
-def rank_route_multiplicity(q: TensorQuery, cap: int | None = None) -> int:
+def rank_route_multiplicity(q: TensorQuery) -> int:
     """dim L(lam)[nu-mu] minus the rank of the overshoot subspace.
 
     The subspace is spanned by F_i^{n_i + 1} applied to every basis vector
     of weight nu - mu + (n_i + 1) a_i, over all simple i; its intersection
     with the weight space is rank-computed exactly.
     """
-    mod = realize_module(q.lam, cap)
+    mod = realize_module(q.lam)
     return _rank_route_core(mod, q.mu.fundamental, (q.nu - q.mu).fundamental)
 
 

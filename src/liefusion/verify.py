@@ -45,7 +45,7 @@ from .heisenberg import (
     braid_phase_check,
     energy_bound_probe,
 )
-from .highmod import all_weights, realize_module, weyl_dimension
+from .highmod import all_weights, check_cap, realize_module, weyl_dimension
 from .lattice import Cocycle, DualCocycle, IntegralLattice, lattice_fusion
 from .rootsys import AlgebraId, Weight, build_root_system, inner_product
 from .tensor import _criterion_core, _rank_route_core, g2_tensor_graph, tensor_decomposition
@@ -166,29 +166,33 @@ SWEEP_TYPES = (
 )
 
 
-def weights_under_cap(aid: AlgebraId, cap: int) -> list:
-    """(dim, fundamental tuple) for every dominant weight with dim <= cap."""
+def weights_under_cap(aid: AlgebraId, max_dim: int) -> list:
+    """(dim, fundamental tuple) for every dominant weight with dim <= max_dim."""
     bounds = []
     for i in range(aid.rank):
         k = 0
         while True:
             f = [0] * aid.rank
             f[i] = k + 1
-            if weyl_dimension(Weight.from_fundamental(aid, f)) > cap:
+            if weyl_dimension(Weight.from_fundamental(aid, f)) > max_dim:
                 break
             k += 1
         bounds.append(k)
     out = []
     for f in itertools.product(*[range(b + 1) for b in bounds]):
         d = weyl_dimension(Weight.from_fundamental(aid, list(f)))
-        if d <= cap:
+        if d <= max_dim:
             out.append((d, f))
     return sorted(out)
 
 
 def check_tensor_triple_agreement(report: VerificationReport, cap: int = 512,
                                   types=SWEEP_TYPES):
-    """Exhaustive oracle/rank/criterion agreement under the product cap."""
+    """Exhaustive oracle/rank/criterion agreement under the product cap.
+
+    cap is the sweep size: every pair of modules with d1 d2 <= cap. Each
+    module must also fit the module cap (``highmod.check_cap``).
+    """
     total = 0
     bad = []
     for s, n in types:
@@ -196,8 +200,8 @@ def check_tensor_triple_agreement(report: VerificationReport, cap: int = 512,
         ws = weights_under_cap(aid, cap)
         for d1, f1 in ws:
             lam = Weight.from_fundamental(aid, f1)
-            mod = realize_module(lam, cap)
-            wts = list(all_weights(lam, cap))
+            mod = realize_module(lam)
+            wts = list(all_weights(lam))
             for d2, f2 in ws:
                 if d1 * d2 > cap:
                     continue
@@ -532,6 +536,7 @@ def verify_e8(seed: int = 7) -> VerificationReport:
 
 def verify_full(seed: int = 7, cap: int = 512, cutoffs=(8, 12, 16),
                  levels=(1, 2, 3)) -> VerificationReport:
+    check_cap(cap, "sweep size")  # a usage error before any check runs
     report = VerificationReport("full")
     check_e8_construction(report, seed)
     pair = check_exceptional_pair(report)

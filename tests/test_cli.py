@@ -131,7 +131,29 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     gram.write_text("[[2]]")
     assert main(["lattice", "--gram", str(gram), "--op", "fusion"]) == 2
     assert "--op fusion needs --charge, --source, --target" in capsys.readouterr().err
+    # a non-integral Gram is refused, not truncated
+    for rows in ("[[2, 1.5], [1.5, 2]]", "[[2.5]]"):
+        gram.write_text(rows)
+        assert main(["lattice", "--gram", str(gram), "--op", "dual"]) == 2
+        assert "gram matrix must be integral" in capsys.readouterr().err
 
+
+def test_verify_paper_cap_above_module_cap(capsys, monkeypatch):
+    # --cap is the sweep size; above the module cap it is a usage error
+    # raised before any check runs
+    import liefusion.verify as verify
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_e8_construction", no_check)
+    monkeypatch.delenv("LIEFUSION_CAP", raising=False)
+    assert main(["verify-paper", "--cap", "600"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep size = 600 exceeds cap 512" in err and "LIEFUSION_CAP" in err
+    monkeypatch.setenv("LIEFUSION_CAP", "16")
+    assert main(["verify-paper", "--cap", "17", "--cutoffs", "3,4"]) == 2
+    assert "sweep size = 17 exceeds cap 16" in capsys.readouterr().err
 
 def test_verify_e8_report(capsys):
     code, out = run(capsys, "verify-e8", "--seed", "7")

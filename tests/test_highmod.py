@@ -153,12 +153,32 @@ def test_character_dimension_cross_check_small():
     assert sum(m * weyl_dimension(W(G2, list(k))) for k, m in dec.items()) == 49
 
 
-def test_cap_errors():
+def test_cap_errors(monkeypatch):
+    from liefusion.tensor import tensor_decomposition
+
     a1 = AlgebraId("A", 1)
     with pytest.raises(CapExceeded, match="exceeds cap"):
         full_character(W(a1, [600]))
     with pytest.raises(CapExceeded):
         realize_module(W(a1, [600]))
+    # every module entry point refuses exactly the weights above LIEFUSION_CAP.
+    # The cap is checked when a module is built, so these A5 weights are ones
+    # no other test builds: a cached module would be returned as it is.
+    monkeypatch.setenv("LIEFUSION_CAP", "15")
+    a5 = AlgebraId("A", 5)
+    zero = W(a5, [0] * 5)
+    for f, dim in (([1, 0, 0, 0, 0], 6), ([0, 1, 0, 0, 0], 15), ([0, 0, 1, 0, 0], 20),
+                   ([0, 0, 0, 0, 2], 21), ([1, 1, 0, 0, 0], 70)):
+        lam = W(a5, f)
+        assert weyl_dimension(lam) == dim
+        calls = (lambda: full_character(lam), lambda: all_weights(lam),
+                 lambda: realize_module(lam), lambda: tensor_decomposition(lam, zero))
+        for call in calls:
+            if dim > 15:
+                with pytest.raises(CapExceeded, match="exceeds cap 15.*LIEFUSION_CAP"):
+                    call()
+            else:
+                call()
 
 
 def check_generator_relations(mod):
@@ -254,13 +274,28 @@ def test_hom_space_duality_pairing():
     assert len(hom_space_basis(sp, sp, W(b2, [0, 0]))) == 1
 
 
+INTERTWINER_TRIPLES = (
+    (G2, [1, 0], [1, 0], [1, 0], 1),
+    (AlgebraId("A", 2), [1, 1], [1, 1], [1, 1], 2),
+    (AlgebraId("B", 2), [1, 0], [0, 1], [0, 1], 1),
+    (AlgebraId("C", 2), [0, 1], [1, 0], [1, 0], 1),
+)
+
+
 def test_intertwiner_commutes_with_action():
-    ts = hom_space_basis(W(G2, [1, 0]), W(G2, [1, 0]), W(G2, [1, 0]))
-    assert len(ts) == 1
-    t = ts[0]
-    rs = build_root_system(G2)
-    cartan = rs.cartan_matrix
-    n = 2
+    # T (X v) = X (T v) for X = E_i, F_i on every pair basis vector v, for
+    # every map of each hom space; the action below is written out here so
+    # that it stays independent of highmod's own
+    for aid, f_lam, f_mu, f_nu, dim in INTERTWINER_TRIPLES:
+        ts = hom_space_basis(W(aid, f_lam), W(aid, f_mu), W(aid, f_nu))
+        assert len(ts) == dim, str(aid)
+        for t in ts:
+            _check_intertwines(t)
+
+
+def _check_intertwines(t):
+    cartan = build_root_system(t.mlam.algebra).cartan_matrix
+    n = t.mlam.algebra.rank
 
     def tensor_apply(op, i, vec, m1, m2):
         step = -1 if op == "F" else 1
@@ -295,14 +330,18 @@ def test_intertwiner_commutes_with_action():
                     out[(fd, r)] = out.get((fd, r), Fraction(0)) + c * blk[r][k]
         return {k: v for k, v in out.items() if v}
 
+    assert t.columns
     for f1 in t.mlam.blocks:
         for f2 in t.mmu.blocks:
-            vec = {(f1, f2, 0, 0): Fraction(1)}
-            for op in ("E", "F"):
-                for i in range(2):
-                    lhs = intertwiner_apply(t, tensor_apply(op, i, vec, t.mlam, t.mmu))
-                    rhs = mod_apply(op, i, intertwiner_apply(t, vec), t.mnu)
-                    assert lhs == rhs
+            for a in range(t.mlam.block_dim[f1]):
+                for b in range(t.mmu.block_dim[f2]):
+                    vec = {(f1, f2, a, b): Fraction(1)}
+                    for op in ("E", "F"):
+                        for i in range(n):
+                            lhs = intertwiner_apply(
+                                t, tensor_apply(op, i, vec, t.mlam, t.mmu))
+                            rhs = mod_apply(op, i, intertwiner_apply(t, vec), t.mnu)
+                            assert lhs == rhs, (str(t.mlam.algebra), vec, op, i)
 
 
 def test_trivial_module_character():
@@ -311,7 +350,7 @@ def test_trivial_module_character():
     assert ch.dim == 1 and ch.mults == {(0, 0): 1}
 
 
-def _reference_realize(lam: Weight, cap: int) -> ModuleRealization:
+def _reference_realize(lam: Weight) -> ModuleRealization:
     """The per-candidate builder: one Fraction Gram entry at a time, one
     linear solve per non-pivot candidate."""
     zero, one = Fraction(0), Fraction(1)
@@ -319,7 +358,7 @@ def _reference_realize(lam: Weight, cap: int) -> ModuleRealization:
     rs = build_root_system(aid)
     n = aid.rank
     cartan = rs.cartan_matrix
-    weights = all_weights(lam, cap)
+    weights = all_weights(lam)
     inv = linalg.inverse([[Fraction(x) for x in row] for row in cartan])
 
     def depth(f):
@@ -437,7 +476,7 @@ def test_realize_module_matches_reference():
     ]
     lams.append(W(AlgebraId("F", 4), [0, 0, 0, 1]))
     for lam in lams:
-        got, want = realize_module(lam, cap), _reference_realize(lam, cap)
+        got, want = realize_module(lam), _reference_realize(lam)
         for field in ("blocks", "block_dim", "gram", "f_block", "e_block", "parent", "dim"):
             assert getattr(got, field) == getattr(want, field), (str(lam), field)
 
@@ -479,8 +518,8 @@ from liefusion.rootsys import AlgebraId, Weight
 
 true_weights = h.all_weights
 
-def bumped(lam, cap=None):
-    ws = dict(true_weights(lam, cap))
+def bumped(lam):
+    ws = dict(true_weights(lam))
     ws[tuple([0] * lam.algebra.rank)] += 1
     return ws
 

@@ -24,6 +24,11 @@ def test_lattice_validation():
         IntegralLattice.from_rows([[2, 1], [0, 2]])
     with pytest.raises(ValueError, match="degenerate"):
         IntegralLattice.from_rows([[2, 2], [2, 2]])
+    # a non-integral entry is refused, not truncated to an integer
+    for rows in ([[2.5]], [[2, 1.5], [1.5, 2]], [[2, Fraction(1, 2)], [Fraction(1, 2), 2]]):
+        with pytest.raises(ValueError, match="integral"):
+            IntegralLattice.from_rows(rows)
+    assert IntegralLattice.from_rows([[2.0, -1], [Fraction(-1), 2]]).gram == ((2, -1), (-1, 2))
     lat = IntegralLattice.from_rows([[2, -1], [-1, 2]])
     assert lat.rank == 2
     assert lat.pairing([1, 0], [0, 1]) == -1
