@@ -14,8 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from . import linalg
 from .errors import InvariantError
-from .highmod import weight_multiplicity
+from .highmod import full_character, hom_space_basis, realize_module, weight_multiplicity
 from .rootsys import (
     AlgebraId, Weight, _reduce_to_dominant, build_root_system, dual_weight, inner_product,
 )
@@ -107,9 +108,6 @@ def casimir_eigenvalue(lam: Weight) -> Fraction:
     algebra, build the invariant trace form, rescale it through the
     highest coroot, and contract dual bases.
     """
-    from . import linalg
-    from .highmod import realize_module
-
     mod = realize_module(lam)
     aid = lam.algebra
     rs = build_root_system(aid)
@@ -171,8 +169,6 @@ def casimir_eigenvalue(lam: Weight) -> Fraction:
 
 
 def _comm(a, b):
-    from . import linalg
-
     ab = linalg.matmul(a, b)
     ba = linalg.matmul(b, a)
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
@@ -368,8 +364,6 @@ def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
     Conditions (b) and (c) evaluate the stated pairings with an explicit
     intertwiner and exact module vectors.
     """
-    from .highmod import full_character, hom_space_basis
-
     char = full_character(lam)
     if any(m > 1 for m in char.mults.values()):
         raise HypothesisViolation("charge weight spaces exceed dimension 1")

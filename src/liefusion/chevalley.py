@@ -13,6 +13,7 @@ index computation, and branching of ambient modules.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +22,9 @@ from operator import mul
 
 from . import linalg
 from .errors import InvariantError, VerificationError
-from .highmod import all_weights, DominantCharacter
+from .highmod import (
+    DominantCharacter, all_weights, hom_space_basis, realize_module, weyl_dimension,
+)
 from .lattice import sign_cocycle_exponent
 from .rootsys import AlgebraId, Weight, build_root_system
 
@@ -294,7 +297,8 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
     Weights are restricted through the normalized coroot images and the
     resulting multiset is peeled greedily from the highest weight using the
     subalgebra's own characters. Returns sub-dominant fundamental tuples ->
-    multiplicities; total dimension is conserved (asserted).
+    multiplicities. A residue that cannot be peeled, or a total dimension
+    that is not conserved, raises VerificationError.
     """
     amb = sub.ambient
     weights: dict = {}
@@ -345,7 +349,6 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
                 raise VerificationError(f"negative residue at {fund} while peeling {top}")
             if remaining[fund] == 0:
                 del remaining[fund]
-    from .highmod import weyl_dimension
 
     check = sum(
         m * weyl_dimension(Weight.from_fundamental(sub_type, f)) for f, m in out.items()
@@ -394,12 +397,10 @@ def construction_bracket(alg: StructureAlgebra, word) -> Element:
 
 
 def _cartan_matches(mat, ref) -> bool:
-    from itertools import permutations
-
     n = len(ref)
     if len(mat) != n:
         return False
-    for p in permutations(range(n)):
+    for p in itertools.permutations(range(n)):
         if all(mat[p[i]][p[j]] == ref[i][j] for i in range(n) for j in range(n)):
             return True
     return False
@@ -577,8 +578,6 @@ def embed_sp(n: int) -> tuple[StructureAlgebra, EmbeddedSubalgebra]:
         return alg.x(tuple(int(c) for c in _theta_root(m, t)))
 
     target = n * (2 * n + 1)
-    import itertools
-
     for signs in itertools.product((1, -1), repeat=n - 1):
         gens = []
         for i in range(n - 1):
@@ -623,8 +622,6 @@ def zero_weight_split_witness(n: int) -> dict:
     weight decomposition, with both components nonzero. Also checks that
     the +-theta_i blocks are swallowed whole.
     """
-    from .highmod import realize_module
-
     aid = AlgebraId("D", n + 1)
     lam = Weight.from_fundamental(aid, [1] + [0] * n)
     mod = realize_module(lam)
@@ -677,14 +674,11 @@ def zero_weight_split_witness(n: int) -> dict:
 
 def g2_seven_dim_pairing_witness() -> dict:
     """T(u1 (x) u2) for the 7-dim module: u1 of weight -alpha_1, u2 highest."""
-    from .highmod import hom_space_basis, realize_module
-
     v1 = Weight.from_fundamental(G2, [1, 0])
     ts = hom_space_basis(v1, v1, v1)
     if len(ts) != 1:
         raise VerificationError(f"expected a 1-dim intertwiner space, got {len(ts)}")
     t = ts[0]
-    mod = realize_module(v1)
     minus_alpha1 = (-2, 1)
     top = v1.fundamental
     img = t.apply_pair(minus_alpha1, 0, top, 0)
@@ -699,8 +693,6 @@ def spin_chain_pairing_witness() -> dict:
     vector of weight -theta_{3+k} (k=1) or -theta_3 (k=2), w_0, w_1 are
     the two spin highest vectors and w_2 has weight (++--)/2.
     """
-    from .highmod import hom_space_basis
-
     aid = AlgebraId("D", 4)
     half = Fraction(1, 2)
     vec = Weight.from_fundamental(aid, [1, 0, 0, 0])

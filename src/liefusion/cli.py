@@ -14,6 +14,7 @@ from fractions import Fraction
 from .affine import (
     AffineWeight,
     FusionQuery,
+    HypothesisViolation,
     admissible_weights,
     conformal_weight,
     kac_walton_fusion,
@@ -21,6 +22,8 @@ from .affine import (
     closed_form_fusion,
     large_level_check,
 )
+from .errors import VerificationError
+from .heisenberg import ChargeSpace, energy_bound_probe
 from .highmod import CapExceeded, weyl_dimension
 from .lattice import Cocycle, IntegralLattice, lattice_fusion
 from .rootsys import AlgebraId, Weight, build_root_system
@@ -29,6 +32,7 @@ from .tensor import (
     weight_space_criterion,
     g2_tensor_graph,
     rank_route_multiplicity,
+    tensor_decomposition,
     tensor_multiplicity,
 )
 from .verify import SCHEMA, verify_e8, verify_full
@@ -90,8 +94,6 @@ def _cmd_tensor(args) -> int:
     mu = _weight(args.algebra, args.source)
     if args.target is None:
         # full decomposition table keyed by coordinate strings
-        from .tensor import tensor_decomposition
-
         table = {
             ",".join(str(c) for c in k): m
             for k, m in sorted(tensor_decomposition(lam, mu).items())
@@ -222,8 +224,6 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    from .heisenberg import ChargeSpace, energy_bound_probe
-
     if args.gram:
         with open(args.gram) as fh:
             gram = json.load(fh)
@@ -338,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .affine import HypothesisViolation
-    from .errors import VerificationError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

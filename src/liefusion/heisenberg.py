@@ -514,7 +514,6 @@ def energy_bound_probe(space: ChargeSpace, alpha, order: int, cutoffs,
     cutoffs = tuple(sorted(cutoffs))
     alpha = [Fraction(x) for x in alpha]
     mu = [ZERO] * space.rank
-    offset = space.pairing(alpha, alpha) / 2
     norms: dict = {}
     for cut in cutoffs:
         per: dict = {}

@@ -1,12 +1,17 @@
 """Weight multiplicities, characters, and exact realizations of irreducibles.
 
-Multiplicities come from the Freudenthal recursion over the dominant cone,
-in integer arithmetic. Module realizations are built layer by layer from
-the highest weight: the spanning vectors F_i(b) of each weight space are
-filtered through the exact contravariant (Shapovalov-style) Gram matrix,
-whose rank is cross-checked against the Freudenthal multiplicity. No
-orthogonalization is performed; every weight block carries its exact
-rational Gram matrix instead.
+Multiplicities come from the Freudenthal recursion in integer arithmetic,
+run over the dominant chain: the dominant weights under the highest one,
+reached from it by subtracting positive roots. Each multiplicity is written
+onto its Weyl orbit once, so one table per irreducible holds every weight;
+the recursion, the dimension check, ``all_weights`` and every reader of a
+weight-space dimension use that table.
+
+Module realizations are built layer by layer from the highest weight: the
+spanning vectors F_i(b) of each weight space are filtered through the exact
+contravariant (Shapovalov-style) Gram matrix, whose rank is cross-checked
+against the Freudenthal multiplicity. No orthogonalization is performed;
+every weight block carries its exact rational Gram matrix instead.
 
 Per weight f the work is a few block products. For each pair of source
 blocks src_i = f + alpha_i, src_j = f + alpha_j, the block
@@ -22,11 +27,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from . import linalg
 from .errors import InvariantError
 from .linalg import Matrix, rref
-from .rootsys import Weight, build_root_system, to_dominant, weyl_orbit_fund
+from .rootsys import Weight, build_root_system, weyl_orbit_fund
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,32 +79,31 @@ def weyl_dimension(lam: Weight) -> int:
 
 @dataclass(frozen=True)
 class DominantCharacter:
-    """Multiplicities of an irreducible over dominant weights."""
+    """Multiplicities of an irreducible: the dominant part and the full table."""
 
     highest_weight: Weight
-    mults: dict  # fundamental-coordinate tuple -> positive int
+    mults: dict  # dominant fundamental tuple -> positive int, by increasing depth
+    weights: dict  # fundamental tuple of every weight -> positive int
     dim: int
-
-    def multiplicity(self, mu: Weight) -> int:
-        dom, _, _ = to_dominant(mu)
-        return self.mults.get(dom.fundamental, 0)
 
 
 @lru_cache(maxsize=None)
 def dominant_character(lam: Weight) -> DominantCharacter:
-    """Freudenthal multiplicities for every dominant weight of L(lam).
+    """Freudenthal multiplicities of L(lam), over every weight.
 
-    The recursion runs in integer arithmetic: depths t = lam - mu are
-    integer root-coordinate vectors and all inner products are carried at
-    a fixed common denominator.
+    The dominant weights mu <= lam are reached from lam by subtracting
+    positive roots while the result stays dominant (Stembridge, "The
+    partial order of dominant weights", Adv. Math. 136, 1998). The
+    recursion runs over them by increasing depth t = lam - mu, an integer
+    root-coordinate vector, with all inner products carried at a fixed
+    common denominator; each multiplicity is written onto its whole Weyl
+    orbit, which makes the one table of every weight.
     """
     if not lam.is_dominant_integral():
         raise ValueError(f"{lam} is not dominant integral")
     aid = lam.algebra
     rs = build_root_system(aid)
     n = aid.rank
-    cartan = rs.cartan_matrix
-    from .rootsys import _reduce_to_dominant
 
     # all inner products are carried scaled by 6, as in gram6
     sgram = rs.gram6
@@ -106,70 +111,56 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     # 6 (rho|a_i) = 3 (a_i|a_i), and (lam|a_i) = lam_i (rho|a_i)
     rho_ip = [sgram[i][i] // 2 for i in range(n)]
     lam_ip = [lam_f[i] * rho_ip[i] for i in range(n)]
-
-    # saturated diagram: BFS over integer depth vectors t (mu = lam - t),
-    # keeping points whose dominant representative stays under lam
-    start_t = tuple([0] * n)
-    points = {start_t}
-    frontier = [start_t]
-    dominants = [(lam_f, start_t)]
-
-    def fund_of(t):
-        return tuple(
-            lam_f[j] - sum(t[k] * cartan[k][j] for k in range(n)) for j in range(n)
-        )
-
-    det = rs.cartan_det
-
-    def below(dom_f) -> bool:
-        # lam - dom in the positive root cone
-        diff = [lam_f[j] - dom_f[j] for j in range(n)]
-        return all(c >= 0 and not c % det for c in rs.scaled_root_coords(diff))
-
-    while frontier:
-        new = []
-        for t in frontier:
-            for j in range(n):
-                t2 = tuple(t[k] + (1 if k == j else 0) for k in range(n))
-                if t2 in points:
-                    continue
-                f2 = fund_of(t2)
-                dom_f, _, _ = _reduce_to_dominant(aid, f2)
-                if below(dom_f):
-                    points.add(t2)
-                    new.append(t2)
-                    if all(x >= 0 for x in f2):
-                        dominants.append((f2, t2))
-        frontier = new
-
-    # recursion by increasing depth
-    dominants.sort(key=lambda ft: sum(ft[1]))
-    mults: dict = {lam_f: 1}
-    # per positive root: fundamental coords, (e_i|a) scaled, (a|a) scaled, (lam|a) scaled
+    # per positive root: fundamental coords, root coords, (e_i|a) scaled,
+    # (a|a) scaled, (lam|a) scaled
     pos_data = []
-    for ac in rs.positive_root_coords:
+    for ac, alpha in zip(rs.positive_root_coords, rs.positive_roots):
         galpha = [sum(sgram[i][j] * ac[j] for j in range(n)) for i in range(n)]
         pos_data.append((
-            tuple(sum(ac[i] * cartan[i][j] for i in range(n)) for j in range(n)),
+            alpha.fundamental,
+            ac,
             galpha,
-            sum(ac[i] * galpha[i] for i in range(n)),
-            sum(ac[i] * lam_ip[i] for i in range(n)),
+            sum(map(mul, ac, galpha)),
+            sum(map(mul, ac, lam_ip)),
         ))
 
-    for f, t in dominants[1:]:
+    # the dominant chain: BFS from lam by positive roots, keeping the depth
+    depth = {lam_f: (0,) * n}
+    frontier = [lam_f]
+    while frontier:
+        new = []
+        for f in frontier:
+            t = depth[f]
+            for af, ac, _, _, _ in pos_data:
+                g = tuple(map(sub, f, af))
+                if min(g) >= 0 and g not in depth:
+                    depth[g] = tuple(map(add, t, ac))
+                    new.append(g)
+        frontier = new
+    # increasing depth, and decreasing t lexicographically within one depth:
+    # a fixed order, which mults, weights and every table built from them
+    # inherit
+    chain = sorted(depth, key=lambda f: (sum(depth[f]), [-x for x in depth[f]]))
+
+    mults: dict = {lam_f: 1}
+    weights = dict.fromkeys(weyl_orbit_fund(aid, lam_f), 1)
+    for f in chain[1:]:
+        t = depth[f]
         total = 0
-        for af, galpha, a_norm, a_lam in pos_data:
-            # (mu + k a | a) scaled = a_lam - (t|a)_s + k (a|a)_s
-            base = a_lam - sum(t[i] * galpha[i] for i in range(n))
-            k = 1
+        for af, _, galpha, a_norm, a_lam in pos_data:
+            # (mu + k a | a) scaled = a_lam - (t|a)_s + k (a|a)_s. The table
+            # already holds mu + k a when it is a weight: dom(mu + k a) is
+            # >= mu + k a, so its depth is strictly below that of mu and its
+            # orbit was written earlier in the chain
+            ip = a_lam - sum(map(mul, t, galpha))
+            nu = f
             while True:
-                nu_f = tuple(f[j] + k * af[j] for j in range(n))
-                dom_f, _, _ = _reduce_to_dominant(aid, nu_f)
-                m = mults.get(dom_f, 0)
+                nu = tuple(map(add, nu, af))
+                m = weights.get(nu, 0)
                 if m == 0:
                     break
-                total += m * (base + k * a_norm)
-                k += 1
+                ip += a_norm
+                total += m * ip
         # denom scaled: (lam+rho)^2 - (mu+rho)^2 with mu = lam - t
         t_norm = sum(t[i] * sgram[i][j] * t[j] for i in range(n) for j in range(n))
         t_lr = sum(t[i] * (lam_ip[i] + rho_ip[i]) for i in range(n))
@@ -182,46 +173,30 @@ def dominant_character(lam: Weight) -> DominantCharacter:
             )
         if val:
             mults[f] = val
+            weights.update(dict.fromkeys(weyl_orbit_fund(aid, f), val))
 
-    dim = 0
-    for f, m in mults.items():
-        dim += m * len(weyl_orbit_fund(aid, f))
+    dim = sum(weights.values())
     wd = weyl_dimension(lam)
     if dim != wd:
         raise InvariantError(f"character dimension {dim} of L({lam}) != Weyl formula {wd}")
-    return DominantCharacter(lam, mults, dim)
+    return DominantCharacter(lam, mults, weights, dim)
 
 
 def weight_multiplicity(lam: Weight, mu: Weight) -> int:
     """dim of the mu weight space of L(lam)."""
     lam._check(mu)
-    rs = build_root_system(lam.algebra)
-    diff = (lam - mu).fundamental
-    if any(c % rs.cartan_det for c in rs.scaled_root_coords(diff)):
-        return 0
-    return dominant_character(lam).multiplicity(mu)
+    return dominant_character(lam).weights.get(mu.fundamental, 0)
 
 
 def full_character(lam: Weight) -> DominantCharacter:
-    """Complete dominant multiplicity table, guarded by the module cap."""
+    """The character of L(lam), guarded by the module cap."""
     check_cap(weyl_dimension(lam), f"dim L({lam})")
     return dominant_character(lam)
 
 
-@lru_cache(maxsize=None)
-def _all_weights_raw(lam: Weight) -> dict:
-    char = dominant_character(lam)
-    out = {}
-    for f, m in char.mults.items():
-        for g in weyl_orbit_fund(lam.algebra, f):
-            out[g] = m
-    return out
-
-
 def all_weights(lam: Weight) -> dict:
-    """fundamental-coordinate tuple -> multiplicity, over the full orbit."""
-    full_character(lam)  # cap guard
-    return _all_weights_raw(lam)
+    """fundamental-coordinate tuple -> multiplicity, over every weight."""
+    return full_character(lam).weights
 
 
 class ModuleRealization:

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import InvariantError
-from .highmod import all_weights, realize_module
-from .rootsys import AlgebraId, Weight, build_root_system
+from .highmod import all_weights, dominant_character, realize_module
+from .rootsys import AlgebraId, Weight, _reduce_to_dominant, build_root_system
 
 ZERO = Fraction(0)
 
@@ -42,8 +42,6 @@ def tensor_decomposition(lam: Weight, mu: Weight) -> dict:
     weight lands on a wall are dropped. Both weights must be dominant
     integral; anything else is rejected with ValueError.
     """
-    from .rootsys import _reduce_to_dominant
-
     lam._check(mu)
     for w in (lam, mu):
         if not w.is_dominant_integral():
@@ -73,19 +71,16 @@ def tensor_multiplicity(q: TensorQuery) -> int:
 
 def _criterion_core(lam: Weight, w_fund: tuple, mu_fund: tuple) -> int | None:
     """Tuple-level criterion; w_fund = fundamental coords of nu - mu."""
-    from .highmod import dominant_character
-    from .rootsys import _reduce_to_dominant
-
-    aid = lam.algebra
-    char = dominant_character(lam)
-    if char.mults.get(_reduce_to_dominant(aid, w_fund)[0], 0) != 1:
+    weights = dominant_character(lam).weights
+    if weights.get(w_fund, 0) != 1:
         return None
+    aid = lam.algebra
     cartan = build_root_system(aid).cartan_matrix
     n = aid.rank
     for i in range(n):
         power = mu_fund[i] + 1
         shifted = tuple(w_fund[k] + power * cartan[i][k] for k in range(n))
-        if char.mults.get(_reduce_to_dominant(aid, shifted)[0], 0):
+        if shifted in weights:
             return 0
     return 1
 

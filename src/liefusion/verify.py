@@ -17,6 +17,7 @@ from fractions import Fraction
 from .affine import (
     AffineWeight,
     FusionQuery,
+    _supported_charges,
     admissible_weights,
     casimir_eigenvalue,
     conformal_weight,
@@ -24,6 +25,7 @@ from .affine import (
     kac_walton_fusion,
     closed_form_fusion,
     large_level_check,
+    level_reduction_conditions,
     theta_pairing,
 )
 from .chevalley import (
@@ -399,8 +401,6 @@ def check_lattice_cocycle(report: VerificationReport, seed: int = 7,
         rs = build_root_system(aid)
         lat = IntegralLattice.from_rows(rs.cartan_matrix)
         adm = admissible_weights(aid, 1)
-        from .affine import _supported_charges
-
         supported = _supported_charges(aid)
         for lamw in adm:
             if lamw.finite_part.fundamental not in supported:
@@ -457,8 +457,6 @@ def check_heisenberg(report: VerificationReport, cutoffs=(8, 12, 16),
 
 def check_compression_preconditions(report: VerificationReport):
     """Level-reduction checks: the saturation bound and the witness flags."""
-    from .affine import level_reduction_conditions
-
     ok = True
     details = []
     for s, n in (("A", 1), ("B", 2), ("C", 2), ("G", 2)):

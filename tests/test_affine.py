@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from liefusion.affine import (
     AffineWeight,
@@ -19,6 +20,7 @@ from liefusion.affine import (
 from liefusion.rootsys import AlgebraId, Weight, build_root_system, dual_weight, inner_product
 from liefusion.highmod import DEFAULT_CAP, weyl_dimension
 from liefusion.tensor import TensorQuery, tensor_multiplicity
+from strategies import admissible_pairs
 from weight_reference import ref_fusion_decomposition
 
 G2 = AlgebraId("G", 2)
@@ -95,6 +97,20 @@ def test_fusion_symmetries_exhaustive_small():
                         assert n == kac_walton_fusion(FusionQuery(mu, lam, nu))
                         assert n == kac_walton_fusion(FusionQuery(lam_bar, nu, mu))
                         assert n == kac_walton_fusion(FusionQuery(lam_bar, mu_bar, nu_bar))
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_pairs())
+def test_fusion_symmetry_and_duality_property(triple):
+    # N_{lam mu}^nu = N_{mu lam}^nu = N_{lam nu*}^{mu*} for every admissible nu
+    lam, mu, level = triple
+    dec = fusion_decomposition(lam, mu, level)
+    assert dec == fusion_decomposition(mu, lam, level)
+    mu_dual = dual_weight(mu).fundamental
+    for nu in admissible_weights(lam.algebra, level):
+        nu = nu.finite_part
+        assert (dec.get(nu.fundamental, 0)
+                == fusion_decomposition(lam, dual_weight(nu), level).get(mu_dual, 0))
 
 
 def test_fusion_bounded_by_tensor_rule():

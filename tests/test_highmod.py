@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from character_reference import ref_all_weights, ref_dominant_character
 from liefusion import linalg
 from liefusion.highmod import (
     CapExceeded,
@@ -25,6 +27,7 @@ from liefusion.rootsys import (
     weyl_orbit,
 )
 from liefusion.tensor import TensorQuery, tensor_multiplicity
+from strategies import dominant_weights
 
 G2 = AlgebraId("G", 2)
 
@@ -136,6 +139,37 @@ def test_weight_multiplicity_weyl_invariance():
             for g in weyl_orbit(Weight.from_fundamental(aid, f)):
                 assert weight_multiplicity(lam, Weight.from_fundamental(aid, g)) == m
         assert weight_multiplicity(lam, lam) == 1
+
+
+def test_character_matches_saturated_diagram_reference():
+    # the dominant chain and the one orbit table against the saturated-diagram
+    # recursion: same dominant multiplicities in the same order, same table
+    from liefusion.verify import SWEEP_TYPES, weights_under_cap
+
+    lams = [
+        W(AlgebraId(s, n), f)
+        for s, n in SWEEP_TYPES
+        for _, f in weights_under_cap(AlgebraId(s, n), 256)
+    ]
+    f4, e6 = AlgebraId("F", 4), AlgebraId("E", 6)
+    lams += [W(f4, [0, 0, 0, 1]), W(f4, [1, 0, 0, 0]),
+             W(e6, [1, 0, 0, 0, 0, 0]), W(e6, [0, 1, 0, 0, 0, 0])]
+    for lam in lams:
+        ch = dominant_character(lam)
+        mults, dim = ref_dominant_character(lam)
+        assert list(ch.mults.items()) == list(mults.items()), lam
+        assert list(ch.weights.items()) == list(ref_all_weights(lam.algebra, mults).items()), lam
+        assert ch.dim == dim == weyl_dimension(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominant_weights())
+def test_simple_reflections_preserve_the_weight_table(lam):
+    ws = all_weights(lam)
+    cartan = build_root_system(lam.algebra).cartan_matrix
+    for i, row in enumerate(cartan):
+        image = {tuple(a - f[i] * c for a, c in zip(f, row)): m for f, m in ws.items()}
+        assert image == ws
 
 
 def test_off_coset_multiplicity_zero():

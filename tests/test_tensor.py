@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from liefusion.highmod import weyl_dimension
 from liefusion.rootsys import AlgebraId, Weight, build_root_system, dual_weight, inner_product
@@ -12,6 +13,7 @@ from liefusion.tensor import (
     tensor_decomposition,
     tensor_multiplicity,
 )
+from strategies import dominant_pairs
 
 G2 = AlgebraId("G", 2)
 
@@ -55,6 +57,15 @@ def test_dimension_conservation():
         dec = tensor_decomposition(lam, mu)
         total = sum(m * weyl_dimension(W(aid, list(k))) for k, m in dec.items())
         assert total == weyl_dimension(lam) * weyl_dimension(mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominant_pairs())
+def test_dimension_conservation_property(pair):
+    lam, mu = pair
+    dec = tensor_decomposition(lam, mu)
+    total = sum(m * weyl_dimension(W(lam.algebra, list(k))) for k, m in dec.items())
+    assert total == weyl_dimension(lam) * weyl_dimension(mu)
 
 
 def test_symmetries():

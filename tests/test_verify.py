@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 from liefusion import linalg
-from liefusion.highmod import dominant_character, weyl_dimension
+from liefusion.highmod import dominant_character, weight_multiplicity, weyl_dimension
 from liefusion.rootsys import AlgebraId, Weight, build_root_system
 from liefusion.verify import VerificationReport, verify_e8, verify_full
 
@@ -99,18 +99,27 @@ def test_characters_match_brute_force_oracle():
     for aid, weights in cases:
         weyl = weyl_group_elements(aid)
         pfun = kostant_partition_function(aid)
+        cartan = build_root_system(aid).cartan_matrix
         for coords in weights:
             lam = Weight.from_fundamental(aid, coords)
             if weyl_dimension(lam) > 64:
                 continue
             char = dominant_character(lam)
-            for f, m in char.mults.items():
+            assert char.mults == {f: m for f, m in char.weights.items() if min(f) >= 0}
+            # every entry of the table, dominant or not
+            for f, m in char.weights.items():
                 mu = Weight.from_fundamental(aid, f)
                 assert brute_multiplicity(aid, lam, mu, weyl, pfun) == m
-            # a couple of absent dominant weights give zero
-            zero = Weight.from_fundamental(aid, [0] * aid.rank)
-            if zero.fundamental not in char.mults:
-                assert brute_multiplicity(aid, lam, zero, weyl, pfun) == 0
+            # weights outside the table give zero: one simple root above a
+            # weight of the table, and zero when it is absent
+            outside = {
+                tuple(a + c for a, c in zip(f, row))
+                for f in char.weights for row in cartan
+            } | {(0,) * aid.rank}
+            for f in outside - char.weights.keys():
+                mu = Weight.from_fundamental(aid, f)
+                assert weight_multiplicity(lam, mu) == 0
+                assert brute_multiplicity(aid, lam, mu, weyl, pfun) == 0
 
 
 def test_report_invariants():
