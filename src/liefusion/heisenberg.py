@@ -32,6 +32,13 @@ Exact blocks, Gram blocks and their inverses are all carried in that scaled
 form; products run on the integer numerators, identities are tested exactly
 against delta * den, and a float is made only for a reported deviation or a
 norm (`n / d` on ints is correctly rounded, so it equals float(Fraction)).
+
+Norms block by block. A mode of level shift d maps each source level l to
+the single target level l + d, and distinct source levels to distinct
+targets. In orthonormal coordinates (L_{l+d}^T B_l L_l^{-T}, with L the
+Cholesky factor of a level's Gram block) the mode is therefore the direct
+sum of its level blocks, and its operator norm is the largest block norm;
+with (1 + L0)^{-r} on the right, block l is scaled by (1 + l)^{-r}.
 """
 from __future__ import annotations
 
@@ -335,23 +342,23 @@ class ModeMatrix:
     source_charge: tuple
     target_charge: tuple
     shift: int
-    cutoff: int
     blocks: dict            # src level -> (numerators, den), tgt rows x src cols
     space: FockSpace        # the Fock basis of both the source and the target
 
-    def float_matrix(self) -> np.ndarray:
-        """Dense float matrix in orthonormalized coordinates."""
-        sizes = [len(self.space.levels[l]) for l in range(self.cutoff + 1)]
-        total = sum(sizes)
-        a = np.zeros((total, total))
-        off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    def float_matrix(self) -> dict:
+        """{source level: float block} in orthonormalized coordinates.
+
+        The mode maps level l only to level l + shift, and distinct source
+        levels to distinct targets, so in orthonormal bases the operator is
+        the direct sum of these blocks: its norm is the largest block norm.
+        """
+        out = {}
         for l, (nums, den) in self.blocks.items():
-            lt = l + self.shift
             ls_inv_t = self.space.cholesky(l)[1]
-            ltm = self.space.cholesky(lt)[0]
+            ltm = self.space.cholesky(l + self.shift)[0]
             b = np.array([[x / den for x in row] for row in nums])
-            a[off[lt]:off[lt + 1], off[l]:off[l + 1]] = ltm.T @ b @ ls_inv_t
-        return a
+            out[l] = ltm.T @ b @ ls_inv_t
+        return out
 
 
 def _chol(g) -> np.ndarray:
@@ -391,7 +398,7 @@ def heisenberg_mode(space: ChargeSpace, alpha, mu, s, cutoff: int) -> ModeMatrix
         raise ValueError(f"mode {s} is off the charge grid for this sector")
     shift = int(shift_f)
     return ModeMatrix(mu, tuple(a + m for a, m in zip(alpha, mu)),
-                      shift, cutoff, oscillator_mode(space, alpha, shift, cutoff),
+                      shift, oscillator_mode(space, alpha, shift, cutoff),
                       _fock_space(space, cutoff))
 
 
@@ -422,8 +429,7 @@ def _block_adjoint(blocks: dict, fk: FockSpace, n: int) -> dict:
     return out
 
 
-def anticommutator_check(space: ChargeSpace, alpha, cutoff: int,
-                         max_mode: int | None = None) -> dict:
+def anticommutator_check(space: ChargeSpace, alpha, cutoff: int) -> dict:
     """Deviation of M(n)M(m)* + M(m-1)*M(n-1) from delta_{nm} on the
     interior blocks, where M(k) is the level-shift-k oscillator mode.
 
@@ -435,7 +441,7 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int,
         raise ValueError("the anticommutator identity needs (alpha|alpha) = 1")
 
     fk = _fock_space(space, cutoff)
-    max_mode = cutoff // 2 if max_mode is None else max_mode
+    max_mode = cutoff // 2
     modes = {}
     for k in range(-max_mode - 1, max_mode + 2):
         modes[k] = oscillator_mode(space, alpha, k, cutoff)
@@ -507,32 +513,30 @@ def energy_bound_probe(space: ChargeSpace, alpha, order: int, cutoffs,
                        slack: float = 1.05) -> EnergyBoundReport:
     """Norm trend of Y_alpha(s)(1 + L0)^{-order} across cutoffs.
 
-    For each cutoff the norms are maximized over the mode window; the
-    verdict is PASS when the cutoff maxima are non-increasing beyond the
-    smallest cutoff within the slack factor. A FAIL is data, not an error.
+    For each cutoff the norms are maximized over the modes |s| <=
+    max_abs_mode; the verdict is PASS when the cutoff maxima are
+    non-increasing beyond the smallest cutoff within the slack factor. A
+    FAIL is data, not an error. (1 + L0)^{-order} is the scalar
+    (1 + l)^{-order} on source level l, so a mode's norm is the largest
+    scaled block norm, 0 when no block lies within the cutoff.
     """
     cutoffs = tuple(sorted(cutoffs))
+    if not cutoffs or cutoffs[0] < 0:
+        raise ValueError(f"the probe needs cutoffs >= 0, got {list(cutoffs)}")
+    if max_abs_mode < 0:
+        raise ValueError(f"max_abs_mode must be >= 0, got {max_abs_mode}")
     alpha = [Fraction(x) for x in alpha]
     mu = [ZERO] * space.rank
     norms: dict = {}
     for cut in cutoffs:
         per: dict = {}
-        for k in range(-max_abs_mode * 2, max_abs_mode * 2 + 1):
-            s = Fraction(k) - 1  # grid: s = -1 - (alpha|0) + integer
-            if abs(s) > max_abs_mode:
-                continue
-            mm = heisenberg_mode(space, alpha, mu, s, cut)
-            a = mm.float_matrix()
-            # scale columns by (1 + L0)^{-order} of the source level
-            col = 0
-            for l in range(cut + 1):
-                width = len(mm.space.levels[l])
-                if order:
-                    a[:, col:col + width] *= (1.0 + l) ** (-order)
-                col += width
-            per[str(s)] = _power_norm(a)
+        # from the vacuum sector (mu = 0) the mode grid is the integers
+        for s in range(-max_abs_mode, max_abs_mode + 1):
+            blocks = heisenberg_mode(space, alpha, mu, s, cut).float_matrix()
+            per[str(s)] = max(((1 + l) ** -order * _power_norm(b)
+                               for l, b in blocks.items()), default=0.0)
         norms[cut] = per
-    maxima = {cut: max(per.values()) if per else 0.0 for cut, per in norms.items()}
+    maxima = {cut: max(per.values()) for cut, per in norms.items()}
     verdict = "PASS"
     for lo, hi in zip(cutoffs, cutoffs[1:]):
         if maxima[hi] > slack * maxima[lo]:

@@ -314,11 +314,6 @@ def dual_weight(lam: Weight) -> Weight:
     return to_dominant(-lam)[0]
 
 
-def weyl_orbit(lam: Weight) -> set[tuple[Fraction, ...]]:
-    """All fundamental-coordinate tuples in the Weyl orbit of lam."""
-    return weyl_orbit_fund(lam.algebra, lam.fundamental)
-
-
 def weyl_orbit_fund(algebra: AlgebraId, start: tuple) -> set[tuple]:
     """The Weyl orbit of a fundamental-coordinate tuple, walked on the tuples."""
     n = algebra.rank

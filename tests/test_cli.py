@@ -94,6 +94,26 @@ def test_probe_small(capsys):
     assert code == 0 and data["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("cutoffs, modes", [("3,4", "-1"), ("-1,4", "2")])
+def test_probe_on_no_mode_is_a_usage_error(capsys, cutoffs, modes):
+    code, out = run(
+        capsys, "probe", "--charge", "1", "--norm", "1",
+        f"--cutoffs={cutoffs}", f"--modes={modes}",
+    )
+    assert code == 2 and out == ""
+
+
+def test_probe_mode_zero_alone(capsys):
+    code, out = run(
+        capsys, "probe", "--charge", "1", "--norm", "1",
+        "--cutoffs", "3,4", "--modes", "0",
+    )
+    data = json.loads(out)
+    assert code == 0 and data["verdict"] == "PASS"
+    assert all(list(per) == ["0"] for per in data["norms"].values())
+    assert all(v == pytest.approx(1.0) for v in data["maxima"].values())
+
+
 def test_compress_check(capsys):
     code, out = run(
         capsys, "compress-check", "--algebra", "C2", "--level", "2",

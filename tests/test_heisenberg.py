@@ -9,7 +9,6 @@ from liefusion import heisenberg
 from liefusion.heisenberg import (
     ChargeSpace,
     FockSpace,
-    ModeMatrix,
     adjoint_phase_check,
     anticommutator_check,
     braid_phase_check,
@@ -274,8 +273,10 @@ def test_charged_mode_grading_and_lowest_element():
 
 def test_zero_charge_modes_are_identity():
     mm = heisenberg_mode(TWO, [0], [0], Fraction(-1), 5)
-    a = mm.float_matrix()
-    assert np.allclose(a, np.eye(a.shape[0]))
+    blocks = mm.float_matrix()
+    assert sorted(blocks) == list(range(6))
+    for b in blocks.values():
+        assert np.allclose(b, np.eye(b.shape[0]))
 
 
 def test_off_grid_mode_rejected():
@@ -346,6 +347,67 @@ def test_vacuum_anticommutator_element():
     # n = m = 0 on the vacuum: the two terms sum to exactly 1
     blocks = oscillator_mode(UNIT, [1], 0, 4)
     assert _exact(blocks[0])[0][0] == 1
+
+
+def _dense_probe_norms(space, alpha, order, cutoff, max_abs_mode):
+    """Per-mode norms of the probe through one dense matrix per mode.
+
+    The reference for the block-by-block norms: every level block is placed
+    in one zero-padded matrix over all Fock states, the columns of source
+    level l are scaled by (1 + l)^{-order}, and the norm is a full SVD.
+    """
+    fk = _fock_space(space, cutoff)
+    sizes = [len(fk.levels[l]) for l in range(cutoff + 1)]
+    off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    out = {}
+    for s in range(-max_abs_mode, max_abs_mode + 1):
+        mm = heisenberg_mode(space, alpha, [0] * space.rank, s, cutoff)
+        a = np.zeros((off[-1], off[-1]))
+        for l, (nums, den) in mm.blocks.items():
+            lt = l + mm.shift
+            b = np.array([[x / den for x in row] for row in nums])
+            a[off[lt]:off[lt + 1], off[l]:off[l + 1]] = (
+                fk.cholesky(lt)[0].T @ b @ fk.cholesky(l)[1])
+        for l in range(cutoff + 1):
+            a[:, off[l]:off[l + 1]] *= (1.0 + l) ** (-order)
+        out[str(s)] = float(np.linalg.norm(a, 2))
+    return out
+
+
+@pytest.mark.parametrize("gram, alpha, cutoffs, max_abs_mode", [
+    ([[1]], (1,), (4, 8), 4),
+    ([[2]], (1,), (5, 8), 4),
+    ([[1, 0], [0, 1]], (1, -1), (3, 6), 4),
+    ([[2, 1], [1, 2]], (1, 0), (4, 6), 4),
+])
+def test_block_norms_match_dense_reference(gram, alpha, cutoffs, max_abs_mode):
+    space = ChargeSpace(gram)
+    for order in (0, 1, 2):
+        rep = energy_bound_probe(space, alpha, order, cutoffs, max_abs_mode)
+        for cut in cutoffs:
+            want = _dense_probe_norms(space, alpha, order, cut, max_abs_mode)
+            assert list(rep.norms[cut]) == list(want)
+            for s, norm in rep.norms[cut].items():
+                assert math.isclose(norm, want[s], rel_tol=1e-12), (order, cut, s)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cutoffs": (), "max_abs_mode": 2},
+    {"cutoffs": (-1, 4), "max_abs_mode": 2},
+    {"cutoffs": (3, 4), "max_abs_mode": -1},
+])
+def test_energy_probe_rejects_an_empty_window(kwargs):
+    with pytest.raises(ValueError):
+        energy_bound_probe(UNIT, [1], 0, **kwargs)
+
+
+def test_energy_probe_negative_control_charge_two_order_zero():
+    # the order-0 norms grow with the cutoff at (alpha|alpha) = 2, so the
+    # probe must FAIL at the default cutoffs and mode window
+    rep = energy_bound_probe(TWO, [1], 0, (8, 12, 16), max_abs_mode=6)
+    assert rep.verdict == "FAIL"
+    want = {8: math.sqrt(10), 12: 4.0, 16: math.sqrt(20)}
+    assert rep.maxima == pytest.approx(want, rel=1e-12)
 
 
 def test_energy_probe_identity_charge():

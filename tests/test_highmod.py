@@ -24,7 +24,7 @@ from liefusion.rootsys import (
     build_root_system,
     dual_weight,
     inner_product,
-    weyl_orbit,
+    weyl_orbit_fund,
 )
 from liefusion.tensor import TensorQuery, tensor_multiplicity
 from strategies import dominant_weights
@@ -136,7 +136,7 @@ def test_weight_multiplicity_weyl_invariance():
     for aid in (AlgebraId("A", 2), AlgebraId("B", 2), G2):
         lam = W(aid, [1, 1])
         for f, m in all_weights(lam).items():
-            for g in weyl_orbit(Weight.from_fundamental(aid, f)):
+            for g in weyl_orbit_fund(aid, f):
                 assert weight_multiplicity(lam, Weight.from_fundamental(aid, g)) == m
         assert weight_multiplicity(lam, lam) == 1
 

@@ -12,7 +12,7 @@ from liefusion.rootsys import (
     dual_weight,
     inner_product,
     to_dominant,
-    weyl_orbit,
+    weyl_orbit_fund,
 )
 from weight_reference import RefWeight, ref_inner_product, ref_to_dominant
 
@@ -208,7 +208,7 @@ def test_orbit_and_duality_properties():
 def test_orbit_sizes_match_dominant_reduction():
     aid = AlgebraId("B", 2)
     lam = Weight.from_fundamental(aid, [1, 1])
-    orb = weyl_orbit(lam)
+    orb = weyl_orbit_fund(aid, lam.fundamental)
     assert len(orb) == 8
     for f in orb:
         w = Weight.from_fundamental(aid, f)
