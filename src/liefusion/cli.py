@@ -249,7 +249,11 @@ def _cmd_probe(args) -> int:
 
 def _cmd_verify_full(args) -> int:
     cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
-    report = verify_full(seed=args.seed, cap=args.cap, cutoffs=cutoffs)
+    levels = args.levels.split(",")
+    if not all(x.strip().isdecimal() and int(x) > 0 for x in levels):
+        raise ValueError(f"--levels must be positive integers, got {args.levels!r}")
+    report = verify_full(seed=args.seed, cap=args.cap, cutoffs=cutoffs,
+                         levels=tuple(map(int, levels)))
     print(report.to_json())
     return 0 if report.passed else 1
 
@@ -332,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sweep size of the tensor check: every pair of modules "
                          "with dim product <= CAP; above 512 raise LIEFUSION_CAP too")
     sp.add_argument("--cutoffs", default="8,12,16")
+    sp.add_argument("--levels", default="1,2,3", help="fusion-rule check levels")
     sp.set_defaults(func=_cmd_verify_full)
 
     return p

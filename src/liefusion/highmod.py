@@ -7,22 +7,29 @@ onto its Weyl orbit once, so one table per irreducible holds every weight;
 the recursion, the dimension check, ``all_weights`` and every reader of a
 weight-space dimension use that table.
 
-Module realizations are built layer by layer from the highest weight: the
-spanning vectors F_i(b) of each weight space are filtered through the exact
-contravariant (Shapovalov-style) Gram matrix, whose rank is cross-checked
-against the Freudenthal multiplicity. No orthogonalization is performed;
-every weight block carries its exact rational Gram matrix instead.
+Module realizations are built layer by layer from the highest weight, in
+integer arithmetic. The basis vectors are monomials F_i1 ... F_ik v_lam, so
+the contravariant (Shapovalov-style) form on them takes integer values (the
+Kostant Z-form): each weight block carries its exact Gram matrix as ints,
+and each generator block is one (numerators, den) pair in lowest terms. The
+spanning vectors F_i(b) of each weight space are filtered through the
+candidate Gram matrix, whose rank is cross-checked against the Freudenthal
+multiplicity. No orthogonalization is performed.
 
-Per weight f the work is a few block products. For each pair of source
-blocks src_i = f + alpha_i, src_j = f + alpha_j, the block
-M_ij = F_j E_i + delta_ij <src_i, alpha_i^vee> is the matrix of E_i on the
-candidates F_j b. The candidate Gram block is gram[src_i] M_ij, and the new
-E-blocks out of f are columns of M_ij. The form on L(lam) is nondegenerate,
-so the first rows of the rref of the candidate Gram already expand every
-candidate over the pivot ones: those rows are the F-blocks into f.
+Per weight f the work is a few block products. For each source block
+src_i = f + alpha_i, the blocks M_ij = F_j E_i + delta_ij <src_i, alpha_i^vee>
+over every source src_j = f + alpha_j form one (numerators, den) pair: the
+matrix of E_i on the candidates F_j b. The candidate Gram block is
+gram[src_i] M_ij, an integer matrix times that pair; it must divide back to
+integers, or the build stops with InvariantError. The new E-blocks out of f
+are columns of M_ij. The form on L(lam) is nondegenerate, so the rows of the
+rref of the candidate Gram (`linalg.scaled_rref`, fraction-free) already
+expand every candidate over the pivot ones: those rows are the F-blocks
+into f.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +38,7 @@ from operator import add, mul, sub
 
 from . import linalg
 from .errors import InvariantError
-from .linalg import Matrix, rref
+from .linalg import Matrix
 from .rootsys import Weight, build_root_system, weyl_orbit_fund
 
 ZERO = Fraction(0)
@@ -45,8 +52,14 @@ class CapExceeded(Exception):
 
 
 def check_cap(dim: int, what: str) -> None:
-    """Refuse dim above the module cap: LIEFUSION_CAP, default 512."""
-    cap = int(os.environ.get("LIEFUSION_CAP", DEFAULT_CAP))
+    """Refuse dim above the module cap: LIEFUSION_CAP, default 512.
+
+    A cap that is not a positive integer is a usage error (ValueError).
+    """
+    raw = os.environ.get("LIEFUSION_CAP", str(DEFAULT_CAP))
+    cap = int(raw) if raw.strip().isdecimal() else 0
+    if cap < 1:
+        raise ValueError(f"LIEFUSION_CAP must be a positive integer, got {raw!r}")
     if dim > cap:
         raise CapExceeded(f"{what} = {dim} exceeds cap {cap} (set LIEFUSION_CAP to raise it)")
 
@@ -204,9 +217,11 @@ class ModuleRealization:
 
     Basis vectors are grouped into weight blocks. ``f_block[(i, f)]`` maps
     block f to block f - alpha_i; ``e_block[(i, f)]`` maps block f to block
-    f + alpha_i; ``gram[f]`` is the exact contravariant Gram matrix of
-    block f. ``parent[(f, k)]`` records which F_i(previous basis vector)
-    the k-th basis vector of block f is.
+    f + alpha_i; each is a (numerators, den) pair of an int matrix and an
+    int den > 0 sharing no factor, the block being numerators / den.
+    ``gram[f]`` is the contravariant Gram matrix of block f, in ints.
+    ``parent[(f, k)]`` records which F_i(previous basis vector) the k-th
+    basis vector of block f is.
     """
 
     def __init__(self, lam: Weight):
@@ -236,18 +251,15 @@ class ModuleRealization:
                 for k in range(self.block_dim[f]):
                     m[off[f] + k][off[f] + k] = Fraction(f[i])
             return m
-        blocks = self.e_block if kind == "E" else self.f_block
-        rs = build_root_system(self.algebra)
-        for (j, f), blk in blocks.items():
-            if j != i:
-                continue
-            step = 1 if kind == "E" else -1
-            tgt = tuple(
-                f[k] + step * rs.cartan_matrix[i][k] for k in range(self.algebra.rank)
-            )
-            for col in range(self.block_dim[f]):
-                for row in range(self.block_dim[tgt]):
-                    m[off[tgt] + row][off[f] + col] = blk[row][col]
+        step = 1 if kind == "E" else -1
+        cartan = build_root_system(self.algebra).cartan_matrix[i]
+        for (j, f), (nums, den) in (self.e_block if kind == "E" else self.f_block).items():
+            if j == i:
+                tgt = tuple(x + step * c for x, c in zip(f, cartan))
+                for row, r in enumerate(nums):
+                    for col, x in enumerate(r):
+                        if x:
+                            m[off[tgt] + row][off[f] + col] = Fraction(x, den)
         return m
 
 
@@ -280,11 +292,11 @@ def realize_module(lam: Weight) -> ModuleRealization:
     mod = ModuleRealization(lam)
     mod.blocks.append(top)
     mod.block_dim[top] = 1
-    mod.gram[top] = [[ONE]]
+    mod.gram[top] = [[1]]
     mod.dim = 1
 
     def up(f, i):
-        return tuple(f[k] + cartan[i][k] for k in range(n))
+        return tuple(map(add, f, cartan[i]))
 
     for d in sorted(by_depth):
         if d == 0:
@@ -297,66 +309,63 @@ def realize_module(lam: Weight) -> ModuleRealization:
             cands = [(i, b) for i, src in srcs for b in range(mod.block_dim[src])]
             target_rank = weights[f]
 
-            # m[i][j] = F_j E_i + delta_ij <src_i, a_i^vee>, the matrix of E_i
-            # on the candidates F_j b'; by contravariance the candidate Gram
-            # block is <F_i b, F_j b'> = (gram[src_i] m[i][j])[b][b']
+            # m[i] is the row of blocks M_ij = F_j E_i + delta_ij <src_i, a_i^vee>
+            # over every source j, one (numerators, den) pair: the matrix of
+            # E_i on the candidates. By contravariance the candidate Gram
+            # block is <F_i b, F_j b'> = (gram[src_i] M_ij)[b][b']
             m = {}
             for i, src_i in srcs:
-                row = m[i] = {}
+                row = []
                 for j, src_j in srcs:
                     e = mod.e_block.get((i, src_j))
-                    if e is None:
-                        blk = linalg.zeros(mod.block_dim[src_i], mod.block_dim[src_j])
-                    else:
-                        blk = linalg.matmul(mod.f_block[(j, up(src_j, i))], e)
+                    blk = (linalg.scaled_matmul(mod.f_block[(j, up(src_j, i))], e) if e else
+                           ([[0] * mod.block_dim[src_j] for _ in range(mod.block_dim[src_i])], 1))
                     if i == j:
-                        for b in range(len(blk)):
-                            blk[b][b] += src_i[i]
-                    row[j] = blk
+                        for b in range(len(blk[0])):
+                            blk[0][b][b] += src_i[i] * blk[1]
+                    row.append(blk)
+                den = math.lcm(*(q for _, q in row))
+                m[i] = linalg.lowest([[x * (den // q) for nums, q in row for x in nums[b]]
+                                      for b in range(mod.block_dim[src_i])], den)
 
             # the Gram matrix is symmetric: one product per source row for
-            # the blocks on and right of the diagonal, mirrored below it
+            # the blocks on and right of the diagonal, mirrored below it. It
+            # is integral (the Kostant Z-form), so each product divides back
             g = [[] for _ in cands]
             at = 0
-            for s, (i, src_i) in enumerate(srcs):
-                right = [
-                    [x for j, _ in srcs[s:] for x in m[i][j][b]]
-                    for b in range(mod.block_dim[src_i])
-                ]
-                for b, grow in enumerate(linalg.matmul(mod.gram[src_i], right)):
-                    g[at + b] = [g[c][at + b] for c in range(at)] + grow
+            for i, src_i in srcs:
+                nums, den = m[i]
+                prod, den = linalg.scaled_matmul((mod.gram[src_i], 1), ([r[at:] for r in nums], den))
+                if any(x % den for r in prod for x in r):
+                    raise InvariantError(f"candidate Gram block of source {src_i} at weight "
+                                         f"{f} of L({lam}) is not integral")
+                for b, grow in enumerate(prod):
+                    g[at + b] = [g[c][at + b] for c in range(at)] + [x // den for x in grow]
                 at += mod.block_dim[src_i]
 
-            red, pivots = rref(g)
+            red, den, pivots = linalg.scaled_rref(g)
             if len(pivots) != target_rank:
-                raise InvariantError(
-                    f"Gram rank {len(pivots)} != Freudenthal multiplicity "
-                    f"{target_rank} at weight {f} of L({lam}) "
-                    f"({len(cands)} candidates)"
-                )
-            chosen = [cands[c] for c in pivots]
+                raise InvariantError(f"Gram rank {len(pivots)} != Freudenthal multiplicity "
+                                     f"{target_rank} at weight {f} of L({lam}) "
+                                     f"({len(cands)} candidates)")
             mod.blocks.append(f)
             mod.block_dim[f] = target_rank
             mod.gram[f] = [[g[a][b] for b in pivots] for a in pivots]
-            for k, cand in enumerate(chosen):
-                mod.parent[(f, k)] = cand
+            for k, c in enumerate(pivots):
+                mod.parent[(f, k)] = cands[c]
             mod.dim += target_rank
 
-            # g = g[:, pivots] red[:r] and gram[f] = g[pivots, pivots] is
-            # nonsingular, so column c of red[:r] is candidate c expanded over
-            # the chosen ones: these columns are the F blocks into f
+            # g = g[:, pivots] rref[:r] and gram[f] = g[pivots, pivots] is
+            # nonsingular, so column c of the rref is candidate c expanded
+            # over the chosen ones: these columns are the F blocks into f.
+            # E_i (F_j b') is column b' of M_ij: the E blocks out of f
             at = 0
             for i, src in srcs:
                 k = mod.block_dim[src]
-                mod.f_block[(i, src)] = [red[r][at:at + k] for r in range(target_rank)]
+                mod.f_block[(i, src)] = linalg.lowest([r[at:at + k] for r in red], den)
+                nums, q = m[i]
+                mod.e_block[(i, f)] = linalg.lowest([[r[c] for c in pivots] for r in nums], q)
                 at += k
-
-            # E blocks out of f: E_i (F_j b') is column b' of m[i][j]
-            for i, src in srcs:
-                mod.e_block[(i, f)] = [
-                    [m[i][j][r][b] for j, b in chosen]
-                    for r in range(mod.block_dim[src])
-                ]
 
     dim = weyl_dimension(lam)
     if mod.dim != dim:
@@ -401,28 +410,19 @@ def _tensor_action(mlam: ModuleRealization, mmu: ModuleRealization, kind: str,
     vec is a sparse tensor vector {(f1, f2, a, b): coeff}; the image comes
     back in the same form, without zero entries.
     """
-    step = build_root_system(mlam.algebra).cartan_matrix[i]
-    if kind == "E":
-        blocks1, blocks2 = mlam.e_block, mmu.e_block
-    else:
-        blocks1, blocks2 = mlam.f_block, mmu.f_block
-        step = [-x for x in step]
+    sign = 1 if kind == "E" else -1
+    step = [sign * x for x in build_root_system(mlam.algebra).cartan_matrix[i]]
+    blocks = [m.e_block if kind == "E" else m.f_block for m in (mlam, mmu)]
     out: dict = {}
     for (f1, f2, a, b), c in vec.items():
-        blk = blocks1.get((i, f1))
-        if blk is not None:
-            g1 = tuple(x + s for x, s in zip(f1, step))
-            for r, row in enumerate(blk):
-                if row[a]:
-                    key = (g1, f2, r, b)
-                    out[key] = out.get(key, ZERO) + c * row[a]
-        blk = blocks2.get((i, f2))
-        if blk is not None:
-            g2 = tuple(x + s for x, s in zip(f2, step))
-            for r, row in enumerate(blk):
-                if row[b]:
-                    key = (f1, g2, a, r)
-                    out[key] = out.get(key, ZERO) + c * row[b]
+        for side, f, col in ((0, f1, a), (1, f2, b)):
+            if (i, f) in blocks[side]:
+                nums, den = blocks[side][(i, f)]
+                g = tuple(x + s for x, s in zip(f, step))
+                for r, row in enumerate(nums):
+                    if row[col]:
+                        key = (g, f2, r, b) if side == 0 else (f1, g, a, r)
+                        out[key] = out.get(key, ZERO) + Fraction(c * row[col], den)
     return {key: v for key, v in out.items() if v}
 
 

@@ -1,21 +1,27 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integer arithmetic.
 
-Matrices are lists of lists of Fraction (rows). There is one elimination
-and one span closure; sizes in this package stay small enough (a few
-hundred rows) that fraction growth is not a concern:
+Matrices are lists of rows and vectors are sparse dicts {key: x}; entries
+are ints or Fractions. There is one elimination and one span closure, and
+neither builds a Fraction on the way:
 
-- `Echelon`, an incremental echelon basis of sparse vectors {key: Fraction}
-  by plain Gaussian elimination with exact pivots. `rank` counts its kept
-  rows, `det` multiplies their leads, and `Echelon.reduced` back-substitutes
+- `Echelon`, an incremental echelon basis of sparse vectors. Every incoming
+  vector is scaled to integers, reduced against the kept rows by
+  cross-multiplication instead of division (fraction-free elimination, as in
+  Bareiss, Math. Comp. 22, 1968), and kept as a primitive integer row if
+  anything is left. Scaling a row changes neither the span nor the reduced
+  echelon form. `rank` counts the kept rows, `det` multiplies their leads
+  and divides out the row scalings, and `Echelon.reduced` back-substitutes
   them through the same `reduce` into the reduced row echelon form that
-  `rref`, `nullspace`, `solve` and `inverse` read;
+  `scaled_rref` puts over one denominator and `rref`, `nullspace`, `solve`
+  and `inverse` read;
 - `closure`, the breadth-first span closure of seeds under a step map on an
   `Echelon`, under the Lie and module closures of `chevalley` and `affine`.
 
 Products run on integer numerators over one common denominator per
 operand: `scaled_matmul` multiplies (numerators, d) pairs in plain int
 arithmetic, and `matmul` scales its operands into it and reduces each entry
-of the result once.
+of the result once. Fractions are built only where a result is handed out
+as rationals: by `rref` and the solvers built on it, `det` and `matmul`.
 """
 from __future__ import annotations
 
@@ -56,6 +62,12 @@ def scaled_vector(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
+def lowest(nums: list[list[int]], d: int) -> tuple[list[list[int]], int]:
+    """The pair (nums, d), d > 0, divided by the gcd of d and every numerator."""
+    g = math.gcd(d, *(x for row in nums for x in row)) if d > 1 else 1
+    return ([[x // g for x in row] for row in nums], d // g) if g > 1 else (nums, d)
+
+
 def int_bilinear(m, x, y) -> int:
     """x m y^T for an integer matrix m and integer vectors x, y."""
     return sum(c * sum(map(mul, row, y)) for c, row in zip(x, m) if c)
@@ -78,27 +90,42 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 
 
 class Echelon:
-    """Incremental echelon basis of sparse vectors {key: Fraction}.
+    """Incremental echelon basis of sparse vectors {key: int or Fraction}.
 
-    Each kept row leads with its least key. A new vector is reduced against
-    the kept rows in insertion order and kept if anything is left.
+    Each kept row is a primitive integer vector (its entries share no
+    factor) that leads with its least key, and its lead entry is positive.
+    A new vector v is scaled to integers and reduced against the kept rows
+    in insertion order: for a row b whose lead key v holds, v becomes
+    (b_lead / g) v - (v_lead / g) b, g the gcd of the two lead entries, so
+    no step divides. What is left is kept, made primitive, if it is nonzero.
     """
 
     def __init__(self):
-        self.rows: list[tuple] = []  # (lead key, reduced row)
+        self.rows: list[tuple] = []  # (lead key, primitive integer row)
+
+    def scaled_reduce(self, v: dict) -> tuple[dict, int, int]:
+        """(w, p, q): w is p / q times the remainder of v, made primitive
+        with a positive lead; w is {} when v lies in the span."""
+        p = math.lcm(*(x.denominator for x in v.values()))
+        w = {k: x.numerator * (p // x.denominator) for k, x in v.items() if x}
+        for lead, b in self.rows:
+            x = w.get(lead)
+            if x:
+                g = math.gcd(x, b[lead])
+                s, t = b[lead] // g, x // g
+                if s != 1:
+                    p *= s
+                    w = {k: s * z for k, z in w.items()}
+                for k, z in b.items():
+                    w[k] = w.get(k, 0) - t * z
+        w = {k: z for k, z in w.items() if z}
+        q = math.gcd(*w.values()) or 1
+        q = -q if w and w[min(w)] < 0 else q
+        return ({k: z // q for k, z in w.items()} if q != 1 else w), p, q
 
     def reduce(self, v: dict) -> dict:
-        v = {k: x for k, x in v.items() if x}
-        for lead, b in self.rows:
-            if lead in v:
-                c = v[lead] / b[lead]
-                for k, x in b.items():
-                    y = v.get(k, ZERO) - c * x
-                    if y:
-                        v[k] = y
-                    else:
-                        del v[k]
-        return v
+        """v's remainder against the kept rows, up to a nonzero scalar."""
+        return self.scaled_reduce(v)[0]
 
     def add(self, v: dict) -> bool:
         """Keep v's remainder if it is nonzero; True when it was kept."""
@@ -110,22 +137,19 @@ class Echelon:
     def basis(self) -> list[dict]:
         return [b for _, b in self.rows]
 
-    def reduced(self) -> list[dict]:
-        """The kept rows in reduced echelon form: sorted by lead, leads ONE.
+    def reduced(self) -> list[tuple]:
+        """The kept rows in reduced echelon form, as (lead, row) sorted by lead.
 
-        A kept row holds no key below its lead, so reducing the rows largest
-        lead first against those already done clears every other lead and
-        leaves this one alone: back-substitution through `reduce`.
+        Each row comes back primitive with a positive lead, and divided by
+        its lead it is a row of the rref. A kept row holds no key below its
+        lead, so reducing the rows largest lead first against those already
+        done clears every other lead and only scales this one:
+        back-substitution through `reduce`.
         """
         back = Echelon()
         for lead, b in sorted(self.rows, key=lambda r: r[0], reverse=True):
-            v = back.reduce(b)
-            c = v[lead]
-            if c != 1:
-                v = {k: x / c for k, x in v.items()}
-            v[lead] = ONE
-            back.rows.append((lead, v))
-        return [b for _, b in reversed(back.rows)]
+            back.rows.append((lead, back.reduce(b) if back.rows else b))
+        return back.rows[::-1]
 
 
 def closure(seeds, step, vec) -> tuple[list, Echelon]:
@@ -152,15 +176,26 @@ def _echelon(a: Matrix) -> Echelon:
     return ech
 
 
+def scaled_rref(a: Matrix) -> tuple[list[list[int]], int, list[int]]:
+    """The nonzero rows of the rref of a as (numerators, d), and the pivots.
+
+    d is the lcm of the leads of `Echelon.reduced`; no Fraction is built.
+    """
+    rows = _echelon(a).reduced()
+    d = math.lcm(*(b[lead] for lead, b in rows))
+    nums = [[b.get(c, 0) * (d // b[lead]) for c in range(len(a[0]))] for lead, b in rows]
+    return nums, d, [lead for lead, _ in rows]
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices)."""
     if not a:
         return [], []
-    ncols = len(a[0])
-    rows = _echelon(a).reduced()
-    m = [[b.get(c, ZERO) for c in range(ncols)] for b in rows]
-    m += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
-    return m, [min(b) for b in rows]
+    nums, d, pivots = scaled_rref(a)
+    m = [[Fraction(x, d) if x else ZERO for x in row] for row in nums]
+    for row, c in zip(m, pivots):
+        row[c] = ONE
+    return m + [[ZERO] * len(a[0]) for _ in range(len(a) - len(m))], pivots
 
 
 def rank(a: Matrix) -> int:
@@ -198,25 +233,29 @@ def solve(a: Matrix, b: Vector) -> Vector:
 def det(a) -> Fraction:
     """Exact determinant of a square matrix of ints or Fractions.
 
-    Adding the rows to an `Echelon` only subtracts multiples of earlier
-    rows, so the determinant is that of the kept rows: the product of their
-    lead entries times the sign of the permutation of lead columns.
+    Adding the rows to an `Echelon` subtracts multiples of earlier rows and
+    scales each row by the p / q that `scaled_reduce` reports, so the
+    determinant is that of the kept rows over the product of those scales:
+    the product of their leads, times the sign of the permutation of lead
+    columns, times q / p per row.
     """
     ech = Echelon()
+    num = den = 1
     for row in a:
-        if not ech.add({c: Fraction(x) for c, x in enumerate(row)}):
+        w, p, q = ech.scaled_reduce(dict(enumerate(row)))
+        if not w:
             return ZERO
+        ech.rows.append((min(w), w))
+        num *= w[min(w)] * q
+        den *= p
     leads = [lead for lead, _ in ech.rows]
-    d = ONE
-    for lead, row in ech.rows:
-        d *= row[lead]
     inversions = sum(x > y for i, x in enumerate(leads) for y in leads[i + 1:])
-    return -d if inversions % 2 else d
+    return Fraction(-num if inversions % 2 else num, den)
 
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    m = [a[i][:] + identity(n)[i] for i in range(n)]
+    m = [row + e for row, e in zip(a, identity(n))]
     red, pivots = rref(m)
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")

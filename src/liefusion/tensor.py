@@ -9,15 +9,12 @@ overshooting lowering powers F_i^{n_i + 1}, via exact matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .errors import InvariantError
 from .highmod import all_weights, dominant_character, realize_module
 from .rootsys import AlgebraId, Weight, _reduce_to_dominant, build_root_system
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,11 @@ def weight_space_criterion(q: TensorQuery) -> int | None:
 
 
 def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
-    """Tuple-level overshoot-rank computation on a realized module."""
+    """Tuple-level overshoot-rank computation on a realized module.
+
+    Each power applies the F-blocks' integer numerators and drops their
+    denominators: that scales the product, which leaves its rank as it is.
+    """
     if w_fund not in mod.block_dim:
         return 0
     aid = mod.algebra
@@ -106,24 +107,18 @@ def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
     cols = []
     for i in range(n):
         power = mu_fund[i] + 1
-        src = tuple(w_fund[k] + power * cartan[i][k] for k in range(n))
-        if src not in mod.block_dim:
+        f = tuple(w_fund[k] + power * cartan[i][k] for k in range(n))
+        if f not in mod.block_dim:
             continue
-        for b in range(mod.block_dim[src]):
-            vec = [Fraction(1) if r == b else ZERO for r in range(mod.block_dim[src])]
-            f = src
-            ok = True
-            for _ in range(power):
-                blk = mod.f_block.get((i, f))
-                if blk is None:
-                    ok = False
-                    break
-                vec = linalg.matvec(blk, vec)
-                f = tuple(f[k] - cartan[i][k] for k in range(n))
-            if ok and any(vec):
-                cols.append(vec)
-    if not cols:
-        return base
+        # the columns of F_i^power on the block f, one numerator product
+        block = [[int(r == c) for c in range(mod.block_dim[f])] for r in range(mod.block_dim[f])]
+        for _ in range(power):
+            if (i, f) not in mod.f_block:
+                break
+            block = linalg.scaled_matmul(mod.f_block[(i, f)], (block, 1))[0]
+            f = tuple(f[k] - cartan[i][k] for k in range(n))
+        else:
+            cols.extend(zip(*block))
     return base - linalg.rank(cols)
 
 

@@ -184,3 +184,35 @@ def test_verify_e8_report(capsys):
     assert claims["adjoint-branching"]["status"] == "pass"
     anchors = [r["anchor"] for r in data["results"]]
     assert len(anchors) == len({r["claim"] for r in data["results"]})
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "", "1.5"])
+def test_liefusion_cap_must_be_a_positive_integer(capsys, monkeypatch, value):
+    # a malformed cap is a usage error that names the variable, before any
+    # check runs
+    monkeypatch.setenv("LIEFUSION_CAP", value)
+    assert main(["verify-paper", "--cap", "8"]) == 2
+    err = capsys.readouterr().err
+    assert f"LIEFUSION_CAP must be a positive integer, got '{value}'" in err
+
+
+def test_verify_paper_levels(capsys, monkeypatch):
+    import liefusion.cli as cli
+    from liefusion.verify import VerificationReport
+
+    seen = []
+
+    def spy(**kwargs):
+        seen.append(kwargs["levels"])
+        return VerificationReport("full")
+
+    monkeypatch.setattr(cli, "verify_full", spy)
+    assert main(["verify-paper"]) == 0
+    assert main(["verify-paper", "--levels", "2"]) == 0
+    assert main(["verify-paper", "--levels", "1, 4"]) == 0
+    assert seen == [(1, 2, 3), (2,), (1, 4)]
+    capsys.readouterr()
+    for bad in ("0", "-1", "a", "1,,2", "", "1.5"):
+        assert main(["verify-paper", f"--levels={bad}"]) == 2
+        assert f"--levels must be positive integers, got '{bad}'" in capsys.readouterr().err
+    assert len(seen) == 3

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -48,6 +49,12 @@ def gram_full(mod):
     return m
 
 
+def rational(block):
+    """The Fraction matrix of a (numerators, den) generator block."""
+    nums, den = block
+    return [[Fraction(x, den) for x in row] for row in nums]
+
+
 def module_to_json(mod):
     """Basis weights plus sparse generator triples, rational strings."""
     off = mod._offsets()
@@ -55,7 +62,8 @@ def module_to_json(mod):
     cartan = build_root_system(mod.algebra).cartan_matrix
     for kind, blocks in (("E", mod.e_block), ("F", mod.f_block)):
         step = 1 if kind == "E" else -1
-        for (i, f), blk in blocks.items():
+        for (i, f), pair in blocks.items():
+            blk = rational(pair)
             tgt = tuple(x + step * c for x, c in zip(f, cartan[i]))
             for col in range(mod.block_dim[f]):
                 for row in range(mod.block_dim[tgt]):
@@ -337,6 +345,7 @@ def _check_intertwines(t):
         for (f1, f2, a, b), c in vec.items():
             blk = (m1.f_block if op == "F" else m1.e_block).get((i, f1))
             if blk is not None:
+                blk = rational(blk)
                 f1d = tuple(f1[t_] + step * cartan[i][t_] for t_ in range(n))
                 for r in range(m1.block_dim[f1d]):
                     if blk[r][a]:
@@ -344,6 +353,7 @@ def _check_intertwines(t):
                         out[k] = out.get(k, Fraction(0)) + c * blk[r][a]
             blk = (m2.f_block if op == "F" else m2.e_block).get((i, f2))
             if blk is not None:
+                blk = rational(blk)
                 f2d = tuple(f2[t_] + step * cartan[i][t_] for t_ in range(n))
                 for r in range(m2.block_dim[f2d]):
                     if blk[r][b]:
@@ -358,6 +368,7 @@ def _check_intertwines(t):
             blk = (mod.f_block if op == "F" else mod.e_block).get((i, f))
             if blk is None:
                 continue
+            blk = rational(blk)
             fd = tuple(f[t_] + step * cartan[i][t_] for t_ in range(n))
             for r in range(mod.block_dim[fd]):
                 if blk[r][k]:
@@ -510,9 +521,34 @@ def test_realize_module_matches_reference():
     ]
     lams.append(W(AlgebraId("F", 4), [0, 0, 0, 1]))
     for lam in lams:
-        got, want = realize_module(lam), _reference_realize(lam)
-        for field in ("blocks", "block_dim", "gram", "f_block", "e_block", "parent", "dim"):
-            assert getattr(got, field) == getattr(want, field), (str(lam), field)
+        _assert_matches_reference(lam)
+
+
+def _assert_matches_reference(lam):
+    got, want = realize_module(lam), _reference_realize(lam)
+    for field in ("blocks", "block_dim", "gram", "parent", "dim"):
+        assert getattr(got, field) == getattr(want, field), (str(lam), field)
+    # the generator blocks are (numerators, den) pairs: entry by entry,
+    # numerator / den is the reference's Fraction
+    for field in ("f_block", "e_block"):
+        view = {key: rational(pair) for key, pair in getattr(got, field).items()}
+        assert view == getattr(want, field), (str(lam), field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominant_weights())
+def test_realized_blocks_are_integral_and_canonical(lam):
+    # Gram blocks hold ints; every generator block is (numerators, den) in
+    # lowest terms, den > 0; the rational view is the reference realization
+    mod = realize_module(lam)
+    assert all(type(x) is int for g in mod.gram.values() for row in g for x in row)
+    for blocks in (mod.f_block, mod.e_block):
+        for nums, den in blocks.values():
+            entries = [x for row in nums for x in row]
+            assert type(den) is int and den > 0
+            assert all(type(x) is int for x in entries)
+            assert math.gcd(den, *entries) == 1
+    _assert_matches_reference(lam)
 
 
 def _fraction_weyl_dimension(lam):
@@ -576,3 +612,85 @@ print("exit:", main(["tensor", "--algebra", "B2", "--charge", "0,2",
     assert "raised: Gram rank 2 != Freudenthal multiplicity 3 at weight (0, 0)" in out.stdout
     assert "exit: 1" in out.stdout
     assert "verification failed: Gram rank" in out.stderr
+
+
+# A realization whose E-block out of weight (-3, 2) along alpha_1 has its
+# first numerator raised by one as it is stored; the 27-dim G2 module L(2, 0)
+# reads that block into a later candidate Gram block, which then no longer
+# divides back to integers.
+PERTURBED_E_BLOCK = '''
+import liefusion.highmod as h
+
+class _Bumped(dict):
+    def __setitem__(self, key, pair):
+        nums, den = pair
+        if key == (0, (-3, 2)):
+            nums = [row[:] for row in nums]
+            nums[0][0] += 1
+        super().__setitem__(key, (nums, den))
+
+class PerturbedRealization(h.ModuleRealization):
+    def __init__(self, lam):
+        super().__init__(lam)
+        self.e_block = _Bumped()
+'''
+
+
+def test_gram_integrality_is_a_named_invariant(monkeypatch):
+    import liefusion.highmod as h
+    from liefusion.errors import InvariantError
+
+    ns = {}
+    exec(PERTURBED_E_BLOCK, ns)
+    monkeypatch.setattr(h, "ModuleRealization", ns["PerturbedRealization"])
+    # __wrapped__ builds past the cache, so no cached module is touched
+    with pytest.raises(InvariantError, match=r"candidate Gram block of source \(0, 0\) "
+                       r"at weight \(3, -2\) of L\(\(2,0\)\) is not integral"):
+        h.realize_module.__wrapped__(W(G2, [2, 0]))
+
+
+def test_gram_invariants_survive_optimize():
+    # both build invariants, Gram integrality and Gram rank against the
+    # Freudenthal multiplicity, raise a named error under python -O
+    import os
+    import subprocess
+    import sys
+
+    script = PERTURBED_E_BLOCK + """
+from liefusion.errors import InvariantError
+from liefusion.rootsys import AlgebraId, Weight
+
+real = h.ModuleRealization
+h.ModuleRealization = PerturbedRealization
+try:
+    h.realize_module(Weight.from_fundamental(AlgebraId("G", 2), [2, 0]))
+except InvariantError as exc:
+    print("raised:", exc)
+h.ModuleRealization = real
+
+true_weights = h.all_weights
+
+def bumped(lam):
+    ws = dict(true_weights(lam))
+    ws[tuple([0] * lam.algebra.rank)] += 1
+    return ws
+
+h.all_weights = bumped
+try:
+    h.realize_module(Weight.from_fundamental(AlgebraId("B", 2), [0, 2]))
+except InvariantError as exc:
+    print("raised:", exc)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "raised: candidate Gram block of source (0, 0) at weight (3, -2) of L((2,0)) "
+        "is not integral",
+        "raised: Gram rank 2 != Freudenthal multiplicity 3 at weight (0, 0) of L((0,2)) "
+        "(2 candidates)",
+    ]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -80,7 +81,7 @@ def test_matmul_empty_shapes():
 
 def _ref_rref(a):
     """The dense Gauss-Jordan loop that rref ran before Echelon.reduced."""
-    m = [row[:] for row in a]
+    m = [[Fraction(x) for x in row] for row in a]
     if not m:
         return m, []
     nrows, ncols = len(m), len(m[0])
@@ -230,6 +231,20 @@ def _random_rational(rng):
     return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
 
 
+def _primitive_multiple(w, v):
+    """w is v times a nonzero rational, as Echelon keeps its rows and
+    remainders: ints with no common factor, the lead (least key) positive,
+    the keys in v's order."""
+    if list(w) != list(v):
+        return False
+    if not w:
+        return True
+    lead = min(w)
+    c = w[lead] / Fraction(v[lead])
+    return (all(type(x) is int for x in w.values()) and w[lead] > 0
+            and math.gcd(*w.values()) == 1 and all(w[k] == c * v[k] for k in w))
+
+
 def test_echelon_matches_label_keyed_reference():
     rng = random.Random(2)
     labels = [("h", i) for i in range(3)]
@@ -247,10 +262,10 @@ def test_echelon_matches_label_keyed_reference():
                     for l, x in b.items():
                         v[l] = v.get(l, Fraction(0)) + c * x
                 v = {l: x for l, x in v.items() if x}
-            assert new.reduce(v) == ref.reduce(v)
+            assert _primitive_multiple(new.reduce(v), ref.reduce(v))
             assert new.add(v) == ref.add(v)
-            assert [(lead, list(b.items())) for lead, b in new.rows] == \
-                [(lead, list(b.items())) for lead, b in ref.rows]
+            assert [lead for lead, _ in new.rows] == [lead for lead, _ in ref.rows]
+            assert all(_primitive_multiple(b, r) for (_, b), (_, r) in zip(new.rows, ref.rows))
 
 
 def test_echelon_matches_dense_reference():
@@ -262,13 +277,19 @@ def test_echelon_matches_dense_reference():
             v = [_random_rational(rng) if rng.random() < 0.5 else Fraction(0)
                  for _ in range(n)]
             assert new.add(dict(enumerate(v))) == ref.add(v)
-            assert [(lead, [b.get(i, Fraction(0)) for i in range(n)])
-                    for lead, b in new.rows] == ref.rows
+            assert [lead for lead, _ in new.rows] == [lead for lead, _ in ref.rows]
+            assert all(_primitive_multiple(dict(sorted(b.items())), _sparse(r))
+                       for (_, b), (_, r) in zip(new.rows, ref.rows))
         rows = [r for _, r in ref.rows]
         for i in range(n):
             unit = [Fraction(int(i == j)) for j in range(n)]
             reduced = _ref_reduce_against(rows, unit)
-            assert new.reduce({i: Fraction(1)}) == {j: x for j, x in enumerate(reduced) if x}
+            assert _primitive_multiple(dict(sorted(new.reduce({i: Fraction(1)}).items())),
+                                       _sparse(reduced))
+
+
+def _sparse(v):
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def _ref_unitary_closure(alg, gens):
@@ -312,22 +333,26 @@ def test_unitary_closure_matches_reference_echelon():
     ]
     for alg, gens, dim in cases:
         basis = unitary_closure(alg, gens)
-        assert len(basis) == dim
-        assert [list(b.items()) for b in basis] == \
-            [list(b.items()) for b in _ref_unitary_closure(alg, gens)]
+        ref = _ref_unitary_closure(alg, gens)
+        assert len(basis) == len(ref) == dim
+        assert all(_primitive_multiple(b, r) for b, r in zip(basis, ref))
 
 
-_entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_ints = st.integers(-5, 5)
+# every matrix is all Fractions, all ints, or a mix of the two
+_kinds = st.sampled_from((_fractions, _ints, st.one_of(_ints, _fractions)))
 
 
 @st.composite
 def _square(draw, n=None):
     n = draw(st.integers(0, 5)) if n is None else n
-    rows = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
+    entries = draw(_kinds)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
     if n >= 2 and draw(st.booleans()):
         # force a singular matrix: one row a multiple of another
         i, k = draw(st.permutations(range(n)))[:2]
-        c = draw(_entries)
+        c = draw(entries)
         rows[k] = [c * x for x in rows[i]]
     return rows
 
@@ -360,11 +385,12 @@ def test_det_small_cases():
 def _matrix(draw):
     """Any shape up to 5 x 6, [] and [[]] among them, often rank-deficient."""
     n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
-    rows = [draw(st.lists(_entries, min_size=m, max_size=m)) for _ in range(n)]
+    entries = draw(_kinds)
+    rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
     if n >= 3 and draw(st.booleans()):
         # force a dependent row: a combination of two others
         i, j, k = draw(st.permutations(range(n)))[:3]
-        c, d = draw(_entries), draw(_entries)
+        c, d = draw(entries), draw(entries)
         rows[k] = [c * x + d * y for x, y in zip(rows[i], rows[j])]
     return rows
 
@@ -379,18 +405,24 @@ def test_rref_rank_nullspace_match_dense_reference(a):
     assert (red, pivots) == _ref_rref(a)
     assert linalg.rank(a) == len(pivots)
     assert linalg.nullspace(a) == _ref_nullspace(a)
-    # zeros and leads share the module constants
+    # int input never leaks an int / int float: every entry is a Fraction,
+    # zeros and leads the module constants
+    assert all(type(x) is Fraction for row in red for x in row)
     assert all(x is linalg.ZERO for row in red for x in row if not x)
     assert all(red[r][c] is linalg.ONE for r, c in enumerate(pivots))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 5).flatmap(
-    lambda n: st.tuples(_square(n), st.lists(_entries, min_size=n, max_size=n))))
+    lambda n: st.tuples(_square(n), _kinds.flatmap(
+        lambda entries: st.lists(entries, min_size=n, max_size=n)))))
 def test_solve_inverse_match_dense_reference(ab):
     a, b = ab
-    assert _outcome(linalg.solve, a, b) == _outcome(_ref_solve, a, b)
-    assert _outcome(linalg.inverse, a) == _outcome(_ref_inverse, a)
+    x, inv = _outcome(linalg.solve, a, b), _outcome(linalg.inverse, a)
+    assert x == _outcome(_ref_solve, a, b)
+    assert inv == _outcome(_ref_inverse, a)
+    if inv is not ValueError:
+        assert all(type(v) is Fraction for v in x + [v for row in inv for v in row])
 
 
 # -- references: the closure loops that linalg.closure replaced ---------------

@@ -164,3 +164,60 @@ def test_no_assert_guards_an_invariant():
                 offenders.append(f"{path.name}:{node.lineno}")
     assert len(list(pkg.glob("*.py"))) > 10
     assert offenders == []
+
+
+# -- negative controls: the three-route check must see a broken route --------
+
+
+def _tensor_claim(cap=16):
+    from liefusion.verify import check_tensor_triple_agreement
+
+    report = VerificationReport("t")
+    check_tensor_triple_agreement(report, cap)
+    (claim,) = report.results
+    return claim
+
+
+def test_tensor_agreement_sees_an_oracle_off_by_one(monkeypatch):
+    import liefusion.verify as verify
+
+    real = verify.tensor_decomposition
+    b2 = AlgebraId("B", 2)
+
+    def off_by_one(lam, mu):
+        dec = dict(real(lam, mu))  # a copy: the oracle's cache stays clean
+        if (lam.algebra, lam.fundamental, mu.fundamental) == (b2, (0, 1), (0, 1)):
+            dec[(0, 0)] += 1
+        return dec
+
+    assert _tensor_claim().status == "pass"
+    monkeypatch.setattr(verify, "tensor_decomposition", off_by_one)
+    claim = _tensor_claim()
+    assert claim.status == "fail"
+    assert "first: ('B2', (0, 1), (0, 1), (0, 0), 'rank', 2, 1)" in claim.detail
+
+
+def test_tensor_agreement_sees_a_perturbed_f_block(monkeypatch):
+    import copy
+
+    import liefusion.verify as verify
+
+    real = verify.realize_module
+    a1 = AlgebraId("A", 1)
+
+    def perturbed(lam):
+        mod = real(lam)
+        if (lam.algebra, lam.fundamental) != (a1, (2,)):
+            return mod
+        mod = copy.deepcopy(mod)  # the realization's cache stays clean
+        nums, den = mod.f_block[(0, (2,))]
+        assert nums == [[1]] and den == 1
+        nums[0][0] = 0
+        return mod
+
+    monkeypatch.setattr(verify, "realize_module", perturbed)
+    claim = _tensor_claim()
+    assert claim.status == "fail"
+    # F_1 no longer maps the top of L(2) onto the zero weight: the rank
+    # route finds L(0) in L(2) (x) L(0), which Klimyk does not
+    assert "first: ('A1', (2,), (0,), (0,), 'rank', 0, 1)" in claim.detail
