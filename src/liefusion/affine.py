@@ -22,8 +22,6 @@ from .rootsys import (
 )
 from .tensor import TensorQuery, tensor_decomposition, tensor_multiplicity
 
-ZERO = Fraction(0)
-
 
 def theta_pairing(lam: Weight):
     """(lam|theta), a dot product with the integer comarks (omega_i|theta)."""
@@ -106,17 +104,15 @@ def casimir_eigenvalue(lam: Weight) -> Fraction:
 
     Independent route: close the generator matrices into a matrix Lie
     algebra, build the invariant trace form, rescale it through the
-    highest coroot, and contract dual bases.
+    highest coroot, and contract dual bases. Each generator enters as its
+    integer numerators: scaling a generator changes neither the span
+    closure nor the Casimir, which does not depend on the basis. So the
+    closure, the trace form and the contraction all run on int matrices,
+    and one Fraction is built, the eigenvalue.
     """
     mod = realize_module(lam)
-    aid = lam.algebra
-    rs = build_root_system(aid)
-    n = aid.rank
-    gens = [mod.full_matrix("E", i) for i in range(n)]
-    gens += [mod.full_matrix("F", i) for i in range(n)]
-    gens += [mod.full_matrix("H", i) for i in range(n)]
-
-    dim = mod.dim
+    n = lam.algebra.rank
+    gens = [mod.full_matrix(kind, i)[0] for kind in "EFH" for i in range(n)]
 
     def flat(m):
         return {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row)}
@@ -124,54 +120,58 @@ def casimir_eigenvalue(lam: Weight) -> Fraction:
     # the echelon decides independence; basis keeps the unreduced matrices
     basis, _ = linalg.closure(gens, lambda a, kept: (_comm(a, b) for b in kept), flat)
 
+    # the trace form tr(X_i X_j): X_i read by rows against X_j read by columns
+    rows = [[x for row in m for x in row] for m in basis]
+    cols = [[x for col in zip(*m) for x in col] for m in basis]
     k = len(basis)
-    tr = linalg.zeros(k, k)
+    tr = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            t = sum(
-                (basis[i][r][s] * basis[j][s][r] for r in range(dim) for s in range(dim)),
-                ZERO,
-            )
-            tr[i][j] = tr[j][i] = t
+            tr[i][j] = tr[j][i] = sum(map(mul, rows[i], cols[j]))
 
-    # scale: the highest-root coroot has squared length 2
-    coro = rs.comarks
-    h_theta = None
-    for i in range(n):
-        m = mod.full_matrix("H", i)
-        scaled = [[coro[i] * x for x in row] for row in m]
-        h_theta = scaled if h_theta is None else [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(h_theta, scaled)
-        ]
-    tr_ht = sum(
-        (h_theta[r][s] * h_theta[s][r] for r in range(dim) for s in range(dim)), ZERO
-    )
-    scale = tr_ht / 2  # trace form = scale * normalized form
+    # scale: the highest-root coroot has squared length 2. H_theta = sum of
+    # comark_i H_i acts on weight block f by sum_i comark_i f_i
+    coro = build_root_system(lam.algebra).comarks
+    tr_ht = sum(mod.block_dim[f] * sum(map(mul, coro, f)) ** 2 for f in mod.blocks)
 
-    binv = linalg.inverse([[tr[i][j] / scale for j in range(k)] for i in range(k)])
-    cas = linalg.zeros(dim, dim)
+    # trace form = (tr_ht / 2) * normalized form, so the Casimir is
+    # sum_ij (tr_ht / 2) (tr^-1)_ij X_i X_j = tr_ht / (2 d) * cas, with
+    # tr^-1 = (inv, d) and cas the integer sum of inv_ij X_i X_j
+    try:
+        inv, d = linalg.inverse(tr)
+    except ValueError:
+        # the closure of an irreducible's generators is semisimple
+        raise InvariantError(f"trace form on the generator closure of L({lam}) "
+                             f"is degenerate") from None
+    dim = mod.dim
+    cas = [[0] * dim for _ in range(dim)]
     for i in range(k):
+        comb = [[0] * dim for _ in range(dim)]
         for j in range(k):
-            if binv[i][j]:
-                prod = linalg.matmul(basis[i], basis[j])
-                for r in range(dim):
-                    for s in range(dim):
-                        cas[r][s] += binv[i][j] * prod[r][s]
+            c = inv[i][j]
+            if c:
+                comb = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(comb, basis[j])]
+        prod = _mul(basis[i], comb)
+        cas = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(cas, prod)]
     eig = cas[0][0]
     for r in range(dim):
         for s in range(dim):
             if cas[r][s] != (eig if r == s else 0):
                 raise InvariantError(
                     f"Casimir on L({lam}) is not scalar: entry ({r}, {s}) is "
-                    f"{cas[r][s]}, diagonal {eig}"
+                    f"{Fraction(cas[r][s] * tr_ht, 2 * d)}, diagonal "
+                    f"{Fraction(eig * tr_ht, 2 * d)}"
                 )
-    return eig
+    return Fraction(eig * tr_ht, 2 * d)
+
+
+def _mul(a, b):
+    return linalg.matmul((a, 1), (b, 1))[0]
 
 
 def _comm(a, b):
-    ab = linalg.matmul(a, b)
-    ba = linalg.matmul(b, a)
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+    """[a, b] for integer matrices a, b."""
+    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(_mul(a, b), _mul(b, a))]
 
 
 # ---------------------------------------------------------------------------

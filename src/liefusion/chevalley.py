@@ -14,6 +14,7 @@ index computation, and branching of ambient modules.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -207,12 +208,7 @@ class EmbeddedSubalgebra:
         sub = cls(alg, list(gens))
         sub.span_basis = unitary_closure(alg, gens)
         sub.cartan_images = [alg.bracket(g, alg.star(g)) for g in gens]
-        n = len(gens)
-        m = linalg.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                m[i][j] = _eigenvalue(alg, sub.cartan_images[i], gens[j])
-        sub.eigen_matrix = m
+        sub.eigen_matrix = [[_eigenvalue(alg, h, g) for g in gens] for h in sub.cartan_images]
         return sub
 
     @property
@@ -543,13 +539,14 @@ def _theta_root(m: int, tvec) -> tuple:
     """Exact simple-root coordinates of a D_m weight given in theta coordinates."""
     rows = []
     for i in range(m - 1):
-        e = [ZERO] * m
-        e[i], e[i + 1] = ONE, -ONE
+        e = [0] * m
+        e[i], e[i + 1] = 1, -1
         rows.append(e)
-    last = [ZERO] * m
-    last[m - 2] = last[m - 1] = ONE
+    last = [0] * m
+    last[m - 2] = last[m - 1] = 1
     rows.append(last)
-    return tuple(linalg.solve(linalg.transpose(rows), [Fraction(t) for t in tvec]))
+    x, d = linalg.solve(linalg.transpose(rows), tvec)
+    return tuple(Fraction(v, d) for v in x)
 
 
 def embed_so_odd(n: int) -> tuple[StructureAlgebra, EmbeddedSubalgebra]:
@@ -598,18 +595,23 @@ def embed_sp(n: int) -> tuple[StructureAlgebra, EmbeddedSubalgebra]:
 # exact pairing witnesses inside small realized modules
 
 
-def _full_ops(mod):
-    n = mod.algebra.rank
-    return (
-        [mod.full_matrix("E", i) for i in range(n)],
-        [mod.full_matrix("F", i) for i in range(n)],
-    )
+def _folded(pairs) -> list:
+    """The integer numerators of the (numerators, den) pairs, the last two
+    summed into one over their common den.
+
+    Scaling an operator changes no span closure, so a den can be dropped;
+    the two merged nodes are summed as rationals, over the lcm of their dens.
+    """
+    (a, da), (b, db) = pairs[-2:]
+    d = math.lcm(da, db)
+    fold = [[x * (d // da) + y * (d // db) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    return [nums for nums, _ in pairs[:-2]] + [fold]
 
 
 def _span_closure(ops, seed_vecs) -> linalg.Echelon:
     """Echelon basis of the span of seed_vecs closed under the matrices ops."""
     _, ech = linalg.closure(
-        seed_vecs, lambda v, _: (linalg.matvec(op, v) for op in ops),
+        seed_vecs, lambda v, _: ([sum(map(mul, row, v)) for row in op] for op in ops),
         lambda v: dict(enumerate(v)))
     return ech
 
@@ -625,12 +627,10 @@ def zero_weight_split_witness(n: int) -> dict:
     aid = AlgebraId("D", n + 1)
     lam = Weight.from_fundamental(aid, [1] + [0] * n)
     mod = realize_module(lam)
-    es, fs = _full_ops(mod)
     # folded operators: last two nodes merge
-    eb = es[: n - 1] + [[[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(es[n - 1], es[n])]]
-    fb = fs[: n - 1] + [[[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(fs[n - 1], fs[n])]]
-    seed = [ONE] + [ZERO] * (mod.dim - 1)  # highest vector, weight theta_1
-    span = _span_closure(eb + fb, [seed])
+    ops = [_folded([mod.full_matrix(kind, i) for i in range(n + 1)]) for kind in "EF"]
+    seed = [1] + [0] * (mod.dim - 1)  # highest vector, weight theta_1
+    span = _span_closure(ops[0] + ops[1], [seed])
     dim = len(span.rows)
     if dim != 2 * n + 1:
         raise VerificationError(f"folded submodule has dim {dim}")
@@ -663,7 +663,7 @@ def zero_weight_split_witness(n: int) -> dict:
     for f in blocks:
         if f in zero_blocks:
             continue
-        if span.reduce({offsets[f]: ONE}):
+        if span.reduce({offsets[f]: 1}):
             whole = False
     return {
         "submodule_dim": dim,

@@ -28,10 +28,14 @@ den(a_e)^m of the target state and a column denominator prod
 den((a|h_e))^k of the source state. A block is built on demand per (level
 shift, source level) and held as (numerators, den) over one common den.
 
-Exact blocks, Gram blocks and their inverses are all carried in that scaled
-form; products run on the integer numerators, identities are tested exactly
-against delta * den, and a float is made only for a reported deviation or a
-norm (`n / d` on ints is correctly rounded, so it equals float(Fraction)).
+Mode blocks, Gram blocks (`FockSpace.gram_block`) and their inverses are
+all carried in linalg's one exact matrix form, a (numerators, den) pair;
+Gram adjoints are `linalg.matmul` products of pairs, identities are tested
+exactly against delta * den, and a float is made only for a reported
+deviation or a norm (`n / d` on ints is correctly rounded, so it equals
+float(Fraction)). Rationals enter through the charge space (a Gram block
+is summed in Fractions, then scaled once to its pair) and leave only as the
+charge pairings and the braid check's leading coefficients.
 
 Norms block by block. A mode of level shift d maps each source level l to
 the single target level l + d, and distinct source levels to distinct
@@ -122,7 +126,6 @@ class FockSpace:
         # memos that live and die with this space
         self._inner_cache: dict = {}
         self._gram_cache: dict = {}
-        self._scaled_cache: dict = {}
         self._inverse_cache: dict = {}
         self._chol_cache: dict = {}
 
@@ -147,7 +150,8 @@ class FockSpace:
         self._inner_cache[s1, s2] = tot
         return tot
 
-    def gram_block(self, level: int):
+    def gram_block(self, level: int) -> tuple:
+        """The level's Gram block as (numerators, den)."""
         if level in self._gram_cache:
             return self._gram_cache[level]
         # oscillators of different modes n commute past each other, so an
@@ -165,26 +169,22 @@ class FockSpace:
                         if not x:
                             break
                     g[i][j] = g[j][i] = x
-        self._gram_cache[level] = g
-        return g
+        blk = self._gram_cache[level] = linalg.scaled(g)
+        return blk
 
-    def scaled_gram(self, level: int) -> tuple:
-        """The level's Gram block as (numerators, den)."""
-        if level not in self._scaled_cache:
-            self._scaled_cache[level] = linalg.scaled(self.gram_block(level))
-        return self._scaled_cache[level]
-
-    def scaled_gram_inverse(self, level: int) -> tuple:
+    def gram_inverse(self, level: int) -> tuple:
         """Exact inverse of the level's Gram block as (numerators, den)."""
         if level not in self._inverse_cache:
-            self._inverse_cache[level] = linalg.scaled(
-                linalg.inverse(self.gram_block(level)))
+            # G = nums / den, so G^-1 = den inv(nums)
+            nums, den = self.gram_block(level)
+            inv, d = linalg.inverse(nums)
+            self._inverse_cache[level] = [[den * x for x in row] for row in inv], d
         return self._inverse_cache[level]
 
     def cholesky(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Float Cholesky factor L of the level's Gram block, and inv(L).T."""
         if level not in self._chol_cache:
-            l = _chol(self.scaled_gram(level))
+            l = _chol(self.gram_block(level))
             self._chol_cache[level] = (l, _inv_t(l))
         return self._chol_cache[level]
 
@@ -412,6 +412,12 @@ def oscillator_mode(space: ChargeSpace, alpha, n: int, cutoff: int) -> dict:
     return {l: fam.block(n, l) for l in range(cutoff + 1) if 0 <= l + n <= cutoff}
 
 
+def _check_cutoff(cutoff: int) -> None:
+    """A negative cutoff leaves no state to check: a usage error."""
+    if cutoff < 0:
+        raise ValueError(f"the cutoff must be >= 0, got {cutoff}")
+
+
 def _block_adjoint(blocks: dict, fk: FockSpace, n: int) -> dict:
     """Exact Gram adjoint of a level-shift-n block family: shifts by -n.
 
@@ -422,9 +428,9 @@ def _block_adjoint(blocks: dict, fk: FockSpace, n: int) -> dict:
     for l, (nums, den) in blocks.items():
         lt = l + n
         # adjoint: G_src^{-1} B^T G_tgt, mapping level lt -> l
-        out[lt] = linalg.scaled_matmul(
-            fk.scaled_gram_inverse(l),
-            linalg.scaled_matmul((linalg.transpose(nums), den), fk.scaled_gram(lt)),
+        out[lt] = linalg.matmul(
+            fk.gram_inverse(l),
+            linalg.matmul((linalg.transpose(nums), den), fk.gram_block(lt)),
         )
     return out
 
@@ -439,6 +445,7 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int) -> dict:
     """
     if space.pairing(alpha, alpha) != 1:
         raise ValueError("the anticommutator identity needs (alpha|alpha) = 1")
+    _check_cutoff(cutoff)
 
     fk = _fock_space(space, cutoff)
     max_mode = cutoff // 2
@@ -466,10 +473,10 @@ def anticommutator_check(space: ChargeSpace, alpha, cutoff: int) -> dict:
                 terms = []
                 a_blk = adj[m].get(l)
                 if a_blk is not None and (l - m) in modes[n]:
-                    terms.append(linalg.scaled_matmul(modes[n][l - m], a_blk))
+                    terms.append(linalg.matmul(modes[n][l - m], a_blk))
                 b_blk = modes[n - 1].get(l)
                 if b_blk is not None and (l + n - 1) in adj.get(m - 1, {}):
-                    terms.append(linalg.scaled_matmul(adj[m - 1][l + n - 1], b_blk))
+                    terms.append(linalg.matmul(adj[m - 1][l + n - 1], b_blk))
                 rows = len(fk.levels[tgt_level])
                 cols = len(fk.levels[l])
                 # the sum of the terms minus delta, over the common den
@@ -525,6 +532,8 @@ def energy_bound_probe(space: ChargeSpace, alpha, order: int, cutoffs,
         raise ValueError(f"the probe needs cutoffs >= 0, got {list(cutoffs)}")
     if max_abs_mode < 0:
         raise ValueError(f"max_abs_mode must be >= 0, got {max_abs_mode}")
+    if not (math.isfinite(slack) and slack > 0):
+        raise ValueError(f"slack must be finite and > 0, got {slack}")
     alpha = [Fraction(x) for x in alpha]
     mu = [ZERO] * space.rank
     norms: dict = {}
@@ -554,6 +563,7 @@ def adjoint_phase_check(space: ChargeSpace, alpha, beta, cutoff: int) -> dict:
     exact and the phase has modulus 1, so the reported deviation is the
     largest exact entry difference, 0 when the relation holds.
     """
+    _check_cutoff(cutoff)
     alpha = [Fraction(x) for x in alpha]
     beta = [Fraction(x) for x in beta]
     aa = space.pairing(alpha, alpha)
@@ -618,6 +628,7 @@ def braid_phase_check(space: ChargeSpace, alpha, beta, gamma, cutoff: int,
     e^{i pi (alpha|beta)}. The factorization of each ordering against
     z1^(a|c) z2^(b|c) (z1-z2)^(a|b) is reported as well.
     """
+    _check_cutoff(cutoff)
     alpha = [Fraction(x) for x in alpha]
     beta = [Fraction(x) for x in beta]
     gamma = [Fraction(x) for x in gamma]

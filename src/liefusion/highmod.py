@@ -23,9 +23,14 @@ matrix of E_i on the candidates F_j b. The candidate Gram block is
 gram[src_i] M_ij, an integer matrix times that pair; it must divide back to
 integers, or the build stops with InvariantError. The new E-blocks out of f
 are columns of M_ij. The form on L(lam) is nondegenerate, so the rows of the
-rref of the candidate Gram (`linalg.scaled_rref`, fraction-free) already
+rref of the candidate Gram (`linalg.rref`, fraction-free) already
 expand every candidate over the pivot ones: those rows are the F-blocks
 into f.
+
+Every matrix here stays in linalg's (numerators, den) form: `full_matrix`
+returns one such pair, and `hom_space_basis` reads each Gram inverse as
+one. Rationals are built only on the intertwiner route: its sparse tensor
+vectors and the columns of an `IntertwinerMap` are handed out as Fractions.
 """
 from __future__ import annotations
 
@@ -38,7 +43,6 @@ from operator import add, mul, sub
 
 from . import linalg
 from .errors import InvariantError
-from .linalg import Matrix
 from .rootsys import Weight, build_root_system, weyl_orbit_fund
 
 ZERO = Fraction(0)
@@ -242,25 +246,27 @@ class ModuleRealization:
             at += self.block_dim[f]
         return off
 
-    def full_matrix(self, kind: str, i: int) -> Matrix:
-        """Dense dim x dim matrix of E_i, F_i or H_i."""
+    def full_matrix(self, kind: str, i: int) -> tuple[list[list[int]], int]:
+        """Dense dim x dim matrix of E_i, F_i or H_i, as (numerators, den)
+        over the lcm of the blocks' dens."""
         off = self._offsets()
-        m = linalg.zeros(self.dim, self.dim)
+        m = [[0] * self.dim for _ in range(self.dim)]
         if kind == "H":
             for f in self.blocks:
                 for k in range(self.block_dim[f]):
-                    m[off[f] + k][off[f] + k] = Fraction(f[i])
-            return m
+                    m[off[f] + k][off[f] + k] = f[i]
+            return m, 1
         step = 1 if kind == "E" else -1
         cartan = build_root_system(self.algebra).cartan_matrix[i]
-        for (j, f), (nums, den) in (self.e_block if kind == "E" else self.f_block).items():
-            if j == i:
-                tgt = tuple(x + step * c for x, c in zip(f, cartan))
-                for row, r in enumerate(nums):
-                    for col, x in enumerate(r):
-                        if x:
-                            m[off[tgt] + row][off[f] + col] = Fraction(x, den)
-        return m
+        blocks = {f: pair for (j, f), pair in
+                  (self.e_block if kind == "E" else self.f_block).items() if j == i}
+        d = math.lcm(*(den for _, den in blocks.values()))
+        for f, (nums, den) in blocks.items():
+            tgt = tuple(x + step * c for x, c in zip(f, cartan))
+            for row, r in enumerate(nums):
+                for col, x in enumerate(r):
+                    m[off[tgt] + row][off[f] + col] = x * (d // den)
+        return m, d
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +324,7 @@ def realize_module(lam: Weight) -> ModuleRealization:
                 row = []
                 for j, src_j in srcs:
                     e = mod.e_block.get((i, src_j))
-                    blk = (linalg.scaled_matmul(mod.f_block[(j, up(src_j, i))], e) if e else
+                    blk = (linalg.matmul(mod.f_block[(j, up(src_j, i))], e) if e else
                            ([[0] * mod.block_dim[src_j] for _ in range(mod.block_dim[src_i])], 1))
                     if i == j:
                         for b in range(len(blk[0])):
@@ -335,7 +341,7 @@ def realize_module(lam: Weight) -> ModuleRealization:
             at = 0
             for i, src_i in srcs:
                 nums, den = m[i]
-                prod, den = linalg.scaled_matmul((mod.gram[src_i], 1), ([r[at:] for r in nums], den))
+                prod, den = linalg.matmul((mod.gram[src_i], 1), ([r[at:] for r in nums], den))
                 if any(x % den for r in prod for x in r):
                     raise InvariantError(f"candidate Gram block of source {src_i} at weight "
                                          f"{f} of L({lam}) is not integral")
@@ -343,7 +349,7 @@ def realize_module(lam: Weight) -> ModuleRealization:
                     g[at + b] = [g[c][at + b] for c in range(at)] + [x // den for x in grow]
                 at += mod.block_dim[src_i]
 
-            red, den, pivots = linalg.scaled_rref(g)
+            red, den, pivots = linalg.rref(g)
             if len(pivots) != target_rank:
                 raise InvariantError(f"Gram rank {len(pivots)} != Freudenthal multiplicity "
                                      f"{target_rank} at weight {f} of L({lam}) "
@@ -485,10 +491,9 @@ def hom_space_basis(lam: Weight, mu: Weight, nu: Weight) -> list[IntertwinerMap]
                 continue
             if f not in gram_inv:
                 gram_inv[f] = linalg.inverse(mnu.gram[f])
-            ginv = gram_inv[f]
+            ginv, den = gram_inv[f]
             for key, v in rhs.items():
-                col = {(f, k): sum((ginv[k][t] * v[t] for t in range(r)), ZERO)
-                       for k in range(r)}
+                col = {(f, k): Fraction(sum(map(mul, ginv[k], v)), den) for k in range(r)}
                 col = {k2: x for k2, x in col.items() if x}
                 if col:
                     columns[key] = col

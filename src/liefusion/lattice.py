@@ -5,9 +5,10 @@ integer coordinates mean lattice membership, and dual-lattice vectors have
 rational coordinates pairing integrally with the basis. Unit-modulus phases
 are carried exactly as rational exponents t standing for e^{i pi t}.
 
-Bilinear forms are carried as integer matrices over one fixed denominator
-(1 for the Gram matrix, the lcm of the entries' denominators for the dual
-cocycle's forms). A rational vector is scaled to integers over the lcm of
+Bilinear forms are carried as integer matrices over one fixed denominator,
+linalg's (numerators, den) pairs (1 for the Gram matrix and the commutator
+form, the square of the inverse Gram's den for the dual cocycle's exponent
+form). A rational vector is scaled to integers over the lcm of
 its denominators, so every pairing is an integer sum and one Fraction per
 result; lattice vectors with int coordinates need no scaling at all.
 """
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .linalg import det, int_bilinear, inverse, matmul, scaled, scaled_vector
-
-ZERO = Fraction(0)
+from .linalg import det, int_bilinear, inverse, matmul, scaled_vector
 
 
 def phase_value(t: Fraction) -> complex:
@@ -74,8 +73,8 @@ class IntegralLattice:
 
     def dual_basis(self) -> list[list[Fraction]]:
         """Columns of the inverse Gram: a basis of the dual lattice."""
-        inv = inverse([[Fraction(x) for x in row] for row in self.gram])
-        return [[inv[i][j] for i in range(self.rank)] for j in range(self.rank)]
+        inv, d = inverse(self.gram)
+        return [[Fraction(row[j], d) for row in inv] for j in range(self.rank)]
 
 
 def sign_cocycle_exponent(gram, a, b) -> int:
@@ -139,11 +138,11 @@ class DualCocycle:
         q = lat.gram
         r = [[q[i][j] if i < j else (-q[i][j] if i > j else 0) for j in range(n)]
              for i in range(n)]
-        qinv = inverse([[Fraction(x) for x in row] for row in q])
-        t = matmul(matmul(qinv, r), qinv)
-        s = [[t[i][j] if i > j else ZERO for j in range(n)] for i in range(n)]
+        qinv = inverse(q)
+        t, d = matmul(matmul(qinv, (r, 1)), qinv)
+        s = [[t[i][j] if i > j else 0 for j in range(n)] for i in range(n)]
         # both forms are integer matrices over a fixed denominator (r's is 1)
-        self._w, self._w_den = scaled(matmul(matmul(q, s), q))
+        self._w, self._w_den = matmul(matmul((q, 1), (s, d)), (q, 1))
         self._r = r
 
     def exponent(self, x, y) -> Fraction:

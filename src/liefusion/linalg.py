@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals, in integer arithmetic.
 
-Matrices are lists of rows and vectors are sparse dicts {key: x}; entries
-are ints or Fractions. There is one elimination and one span closure, and
+Matrices are lists of rows and vectors are sparse dicts {key: x}; input
+entries are ints or Fractions. Every exact matrix result comes back in one
+form, a (numerators, d) pair: an int matrix and an int d > 0 with the matrix
+equal to numerators / d. There is one elimination and one span closure, and
 neither builds a Fraction on the way:
 
 - `Echelon`, an incremental echelon basis of sparse vectors. Every incoming
@@ -12,16 +14,15 @@ neither builds a Fraction on the way:
   echelon form. `rank` counts the kept rows, `det` multiplies their leads
   and divides out the row scalings, and `Echelon.reduced` back-substitutes
   them through the same `reduce` into the reduced row echelon form that
-  `scaled_rref` puts over one denominator and `rref`, `nullspace`, `solve`
-  and `inverse` read;
+  `rref` puts over one denominator and `nullspace`, `solve` and `inverse`
+  read;
 - `closure`, the breadth-first span closure of seeds under a step map on an
   `Echelon`, under the Lie and module closures of `chevalley` and `affine`.
 
-Products run on integer numerators over one common denominator per
-operand: `scaled_matmul` multiplies (numerators, d) pairs in plain int
-arithmetic, and `matmul` scales its operands into it and reduces each entry
-of the result once. Fractions are built only where a result is handed out
-as rationals: by `rref` and the solvers built on it, `det` and `matmul`.
+`matmul` multiplies two pairs in plain int arithmetic. `inverse` and
+`solve` return pairs in lowest terms and `nullspace` integer vectors. The
+only Fraction built here is `det`'s; callers build rationals where a result
+leaves the package.
 """
 from __future__ import annotations
 
@@ -29,26 +30,12 @@ import math
 from fractions import Fraction
 from operator import mul
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def zeros(n: int, m: int) -> Matrix:
-    return [[ZERO] * m for _ in range(n)]
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def transpose(a: Matrix) -> Matrix:
+def transpose(a: list) -> list:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def scaled(a: Matrix) -> tuple[list[list[int]], int]:
+def scaled(a) -> tuple[list[list[int]], int]:
     """(numerators, d) with a == numerators / d, d the lcm of a's denominators."""
     d = math.lcm(*{x.denominator for row in a for x in row})
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
@@ -73,20 +60,11 @@ def int_bilinear(m, x, y) -> int:
     return sum(c * sum(map(mul, row, y)) for c, row in zip(x, m) if c)
 
 
-def scaled_matmul(a: tuple, b: tuple) -> tuple[list[list[int]], int]:
+def matmul(a: tuple, b: tuple) -> tuple[list[list[int]], int]:
     """Product of two (numerators, d) pairs, as (numerators, d)."""
     (an, da), (bn, db) = a, b
     cols = list(zip(*bn))
     return [[sum(map(mul, row, col)) for col in cols] for row in an], da * db
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    cn, d = scaled_matmul(scaled(a), scaled(b))
-    return [[Fraction(n, d) if n else ZERO for n in row] for row in cn]
-
-
-def matvec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
 
 
 class Echelon:
@@ -169,17 +147,18 @@ def closure(seeds, step, vec) -> tuple[list, Echelon]:
     return kept, ech
 
 
-def _echelon(a: Matrix) -> Echelon:
+def _echelon(a) -> Echelon:
     ech = Echelon()
     for row in a:
         ech.add(dict(enumerate(row)))
     return ech
 
 
-def scaled_rref(a: Matrix) -> tuple[list[list[int]], int, list[int]]:
+def rref(a) -> tuple[list[list[int]], int, list[int]]:
     """The nonzero rows of the rref of a as (numerators, d), and the pivots.
 
-    d is the lcm of the leads of `Echelon.reduced`; no Fraction is built.
+    d is the lcm of the leads of `Echelon.reduced`, so the pivot entries are
+    d; no Fraction is built.
     """
     rows = _echelon(a).reduced()
     d = math.lcm(*(b[lead] for lead, b in rows))
@@ -187,47 +166,37 @@ def scaled_rref(a: Matrix) -> tuple[list[list[int]], int, list[int]]:
     return nums, d, [lead for lead, _ in rows]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    if not a:
-        return [], []
-    nums, d, pivots = scaled_rref(a)
-    m = [[Fraction(x, d) if x else ZERO for x in row] for row in nums]
-    for row, c in zip(m, pivots):
-        row[c] = ONE
-    return m + [[ZERO] * len(a[0]) for _ in range(len(a) - len(m))], pivots
-
-
-def rank(a: Matrix) -> int:
+def rank(a) -> int:
     return len(_echelon(a).rows)
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right nullspace of a."""
+def nullspace(a) -> list[list[int]]:
+    """Integer basis of the right nullspace of a, one vector per free column.
+
+    The vector of free column c is d times the rational one that holds 1 at
+    c and 0 at the other free columns.
+    """
     if not a:
         return []
-    ncols = len(a[0])
-    m, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    nums, d, pivots = rref(a)
     basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+    for fc in sorted(set(range(len(a[0]))) - set(pivots)):
+        v = [0] * len(a[0])
+        v[fc] = d
+        for row, pc in zip(nums, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
-def solve(a: Matrix, b: Vector) -> Vector:
-    """Solve a x = b exactly; a square nonsingular."""
+def solve(a, b) -> tuple[list[int], int]:
+    """Solve a x = b exactly, a square nonsingular: x as (numerators, d)."""
     n = len(a)
-    m = [a[i][:] + [b[i]] for i in range(n)]
-    red, pivots = rref(m)
-    if len(pivots) != n or pivots != list(range(n)):
+    nums, d, pivots = rref([list(row) + [y] for row, y in zip(a, b)])
+    if pivots != list(range(n)):
         raise ValueError("singular system")
-    return [red[i][n] for i in range(n)]
+    (x,), d = lowest([[row[n] for row in nums]], d)
+    return x, d
 
 
 def det(a) -> Fraction:
@@ -244,7 +213,7 @@ def det(a) -> Fraction:
     for row in a:
         w, p, q = ech.scaled_reduce(dict(enumerate(row)))
         if not w:
-            return ZERO
+            return Fraction(0)
         ech.rows.append((min(w), w))
         num *= w[min(w)] * q
         den *= p
@@ -253,10 +222,11 @@ def det(a) -> Fraction:
     return Fraction(-num if inversions % 2 else num, den)
 
 
-def inverse(a: Matrix) -> Matrix:
+def inverse(a) -> tuple[list[list[int]], int]:
+    """The inverse of a square nonsingular a, as (numerators, d) in lowest terms."""
     n = len(a)
-    m = [row + e for row, e in zip(a, identity(n))]
-    red, pivots = rref(m)
+    nums, d, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in red]
+    return lowest([row[n:] for row in nums], d)

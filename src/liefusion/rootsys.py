@@ -201,10 +201,8 @@ class RootSystem:
         self.gram6 = [[cartan[i][j] * d6[j] for j in range(n)] for i in range(n)]
         # integer forms of the inverse: cartan_adjugate = cartan_det * cartan^-1
         self.cartan_det = int(det(cartan))
-        self.cartan_adjugate = [
-            [int(self.cartan_det * x) for x in row]
-            for row in inverse([[Fraction(x) for x in row] for row in cartan])
-        ]
+        inv, den = inverse(cartan)
+        self.cartan_adjugate = [[x * self.cartan_det // den for x in row] for row in inv]
         self.form = [[self.cartan_adjugate[i][j] * d6[j] for j in range(n)] for i in range(n)]
         self.form_den = 6 * self.cartan_det
 

@@ -115,7 +115,7 @@ def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
         for _ in range(power):
             if (i, f) not in mod.f_block:
                 break
-            block = linalg.scaled_matmul(mod.f_block[(i, f)], (block, 1))[0]
+            block = linalg.matmul(mod.f_block[(i, f)], (block, 1))[0]
             f = tuple(f[k] - cartan[i][k] for k in range(n))
         else:
             cols.extend(zip(*block))

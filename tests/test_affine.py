@@ -17,6 +17,7 @@ from liefusion.affine import (
     closed_form_fusion,
     large_level_check,
 )
+from liefusion.errors import InvariantError
 from liefusion.rootsys import AlgebraId, Weight, build_root_system, dual_weight, inner_product
 from liefusion.highmod import DEFAULT_CAP, weyl_dimension
 from liefusion.tensor import TensorQuery, tensor_multiplicity
@@ -73,6 +74,63 @@ def test_conformal_weight_against_casimir_oracle():
             if inner_product(lam, rs.highest_root) <= level:
                 dw = conformal_weight(AffineWeight(lam, level))
                 assert dw == closed / (2 * (level + rs.dual_coxeter))
+
+
+def _perturbed_realization(monkeypatch, lam, change):
+    """Serve casimir_eigenvalue a deep copy of L(lam)'s realization with
+    change(copy) applied; the realization cache stays clean."""
+    import copy
+
+    import liefusion.affine as affine
+
+    real = affine.realize_module
+    mod = copy.deepcopy(real(lam))
+    change(mod)
+    monkeypatch.setattr(affine, "realize_module", lambda mu: mod if mu == lam else real(mu))
+
+
+def test_casimir_sees_a_split_module(monkeypatch):
+    # zeroing E and F between weights 0 and -2 of the adjoint of A1 splits
+    # it into span(v_2, v_0) + span(v_-2), and the Casimir reads 20/3 on the
+    # first and 8/3 on the second
+    def split(mod):
+        mod.e_block[(0, (-2,))][0][0][0] = 0
+        mod.f_block[(0, (0,))][0][0][0] = 0
+
+    _perturbed_realization(monkeypatch, W(AlgebraId("A", 1), [2]), split)
+    with pytest.raises(InvariantError, match=r"Casimir on L\(\(2\)\) is not scalar: "
+                                             r"entry \(2, 2\) is 8/3, diagonal 20/3"):
+        casimir_eigenvalue(W(AlgebraId("A", 1), [2]))
+
+
+def test_casimir_sees_a_degenerate_trace_form(monkeypatch):
+    # with E zeroed, the closure of E, F, H on L(1) of A1 is solvable
+    def kill_e(mod):
+        mod.e_block[(0, (-1,))][0][0][0] = 0
+
+    _perturbed_realization(monkeypatch, W(AlgebraId("A", 1), [1]), kill_e)
+    with pytest.raises(InvariantError, match="trace form .* is degenerate"):
+        casimir_eigenvalue(W(AlgebraId("A", 1), [1]))
+
+
+def test_conformal_weights_claim_sees_a_perturbed_generator(monkeypatch):
+    # one E-block of the spin module L(0, 1) of B2 raised by one: the
+    # generators then close on a larger algebra, whose Casimir is the
+    # scalar 15/4 instead of (lam|lam + 2 rho) = 5/2
+    from liefusion.verify import VerificationReport, check_conformal_weights
+
+    def bump(mod):
+        nums, den = mod.e_block[(1, (1, -1))]
+        nums[0][0] += den
+
+    lam = W(AlgebraId("B", 2), [0, 1])
+    _perturbed_realization(monkeypatch, lam, bump)
+    assert casimir_eigenvalue(lam) == Fraction(15, 4)
+    report = VerificationReport("c")
+    check_conformal_weights(report)
+    (claim,) = report.results
+    assert claim.status == "fail"
+    assert claim.detail == "A1:3/2; B2:15/4; C2:5/2; G2:4; A2:6"
 
 
 def test_vacuum_fusion():

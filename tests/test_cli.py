@@ -103,6 +103,20 @@ def test_probe_on_no_mode_is_a_usage_error(capsys, cutoffs, modes):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("slack", ["nan", "inf", "0", "-1"])
+def test_probe_slack_not_finite_and_positive_is_a_usage_error(capsys, slack):
+    # at slack 1.05 this probe FAILs (exit 1); a NaN or infinite slack
+    # would otherwise turn it into a PASS
+    argv = ["probe", "--charge", "1", "--norm", "2", "--order", "0",
+            "--cutoffs", "4,6", "--modes", "3"]
+    code, out = run(capsys, *argv, "--slack", "1.05")
+    assert code == 1 and json.loads(out)["verdict"] == "FAIL"
+    code = main([*argv, f"--slack={slack}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "slack must be finite and > 0" in captured.err
+
+
 def test_probe_mode_zero_alone(capsys):
     code, out = run(
         capsys, "probe", "--charge", "1", "--norm", "1",

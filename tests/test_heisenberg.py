@@ -20,6 +20,7 @@ from liefusion.heisenberg import (
     _mode_family,
     _strip,
 )
+from rational_view import rational
 
 ZERO = Fraction(0)
 
@@ -37,7 +38,7 @@ def test_fock_enumeration_matches_partitions():
 def test_fock_gram_orthogonal_rank_one():
     fk = FockSpace(TWO, 5)
     for level in range(6):
-        g = fk.gram_block(level)
+        g = rational(fk.gram_block(level))
         for i in range(len(g)):
             for j in range(len(g)):
                 if i != j:
@@ -50,7 +51,7 @@ def test_fock_gram_rank_two_exact():
     sp = ChargeSpace([[2, -1], [-1, 2]])
     fk = FockSpace(sp, 3)
     # single oscillators at level 1: <a_i(-1)v, a_j(-1)v> = gram
-    g = fk.gram_block(1)
+    g = rational(fk.gram_block(1))
     assert g == [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
 
@@ -399,6 +400,31 @@ def test_block_norms_match_dense_reference(gram, alpha, cutoffs, max_abs_mode):
 def test_energy_probe_rejects_an_empty_window(kwargs):
     with pytest.raises(ValueError):
         energy_bound_probe(UNIT, [1], 0, **kwargs)
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf, 0.0, -1.05])
+def test_energy_probe_rejects_a_slack_that_is_not_finite_and_positive(slack):
+    # a NaN slack makes every comparison false and an infinite one makes
+    # every maximum fit, so either would report a vacuous PASS
+    with pytest.raises(ValueError, match="slack must be finite and > 0"):
+        energy_bound_probe(TWO, [1], 0, (4, 6), max_abs_mode=3, slack=slack)
+    # the same probe at a finite slack sees the growth and FAILs
+    assert energy_bound_probe(TWO, [1], 0, (4, 6), max_abs_mode=3).verdict == "FAIL"
+
+
+def test_anticommutator_check_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        anticommutator_check(UNIT, [1], -1)
+
+
+def test_adjoint_phase_check_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        adjoint_phase_check(TWO, [1], [1], -1)
+
+
+def test_braid_phase_check_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        braid_phase_check(UNIT, [1], [1], [2], -1)
 
 
 def test_energy_probe_negative_control_charge_two_order_zero():

@@ -28,6 +28,7 @@ from liefusion.rootsys import (
     weyl_orbit_fund,
 )
 from liefusion.tensor import TensorQuery, tensor_multiplicity
+from rational_view import frac_matmul, rational, rational_vector, rref_view, zeros
 from strategies import dominant_weights
 
 G2 = AlgebraId("G", 2)
@@ -40,19 +41,13 @@ def W(aid, coords):
 def gram_full(mod):
     """The block-diagonal contravariant Gram matrix of a realized module."""
     off = mod._offsets()
-    m = linalg.zeros(mod.dim, mod.dim)
+    m = zeros(mod.dim, mod.dim)
     for f in mod.blocks:
         g = mod.gram[f]
         for a in range(mod.block_dim[f]):
             for b in range(mod.block_dim[f]):
                 m[off[f] + a][off[f] + b] = g[a][b]
     return m
-
-
-def rational(block):
-    """The Fraction matrix of a (numerators, den) generator block."""
-    nums, den = block
-    return [[Fraction(x, den) for x in row] for row in nums]
 
 
 def module_to_json(mod):
@@ -228,24 +223,24 @@ def check_generator_relations(mod):
     n = aid.rank
     rs = build_root_system(aid)
     a = rs.cartan_matrix
-    es = [mod.full_matrix("E", i) for i in range(n)]
-    fs = [mod.full_matrix("F", i) for i in range(n)]
-    hs = [mod.full_matrix("H", i) for i in range(n)]
+    es = [rational(mod.full_matrix("E", i)) for i in range(n)]
+    fs = [rational(mod.full_matrix("F", i)) for i in range(n)]
+    hs = [rational(mod.full_matrix("H", i)) for i in range(n)]
     g = gram_full(mod)
 
     def comm(x, y):
-        xy = linalg.matmul(x, y)
-        yx = linalg.matmul(y, x)
+        xy = frac_matmul(x, y)
+        yx = frac_matmul(y, x)
         return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(xy, yx)]
 
-    zero = linalg.zeros(mod.dim, mod.dim)
+    zero = zeros(mod.dim, mod.dim)
     for i in range(n):
         for j in range(n):
             assert comm(es[i], fs[j]) == (hs[i] if i == j else zero)
             assert comm(hs[i], es[j]) == [[a[j][i] * x for x in row] for row in es[j]]
             assert comm(hs[i], fs[j]) == [[-a[j][i] * x for x in row] for row in fs[j]]
         # contravariance: E_i and F_i are Gram adjoints
-        assert linalg.matmul(linalg.transpose(es[i]), g) == linalg.matmul(g, fs[i])
+        assert frac_matmul(linalg.transpose(es[i]), g) == frac_matmul(g, fs[i])
 
 
 @pytest.mark.parametrize(
@@ -281,8 +276,8 @@ def test_a1_realization_elementary():
     mod = realize_module(W(AlgebraId("A", 1), [1]))
     e = mod.full_matrix("E", 0)
     f = mod.full_matrix("F", 0)
-    assert e == [[0, 1], [0, 0]]
-    assert f == [[0, 0], [1, 0]]
+    assert e == ([[0, 1], [0, 0]], 1)
+    assert f == ([[0, 0], [1, 0]], 1)
 
 
 def test_realization_json_export():
@@ -404,7 +399,7 @@ def _reference_realize(lam: Weight) -> ModuleRealization:
     n = aid.rank
     cartan = rs.cartan_matrix
     weights = all_weights(lam)
-    inv = linalg.inverse([[Fraction(x) for x in row] for row in cartan])
+    inv = rational(linalg.inverse(cartan))
 
     def depth(f):
         rc = [sum((f[k] * inv[k][i] for k in range(n)), zero) for i in range(n)]
@@ -452,7 +447,7 @@ def _reference_realize(lam: Weight) -> ModuleRealization:
                     cands.extend((i, b) for b in range(mod.block_dim[src]))
             target_rank = weights[f]
             nc = len(cands)
-            g = linalg.zeros(nc, nc)
+            g = zeros(nc, nc)
             for a, (i, b) in enumerate(cands):
                 src_i = up(f, i)
                 for c, (j, b2) in enumerate(cands):
@@ -467,7 +462,7 @@ def _reference_realize(lam: Weight) -> ModuleRealization:
                     if i == j:
                         val += Fraction(src_i[i]) * mod.gram[src_i][b][b2]
                     g[a][c] = val
-            red, pivots = linalg.rref(g)
+            red, pivots = rref_view(g)
             assert len(pivots) == target_rank
             chosen = pivots
             mod.blocks.append(f)
@@ -482,13 +477,13 @@ def _reference_realize(lam: Weight) -> ModuleRealization:
                 if c in chosen:
                     x = [one if chosen[k] == c else zero for k in range(target_rank)]
                 else:
-                    x = linalg.solve(gram_f, [g[ci][c] for ci in chosen])
+                    x = rational_vector(linalg.solve(gram_f, [g[ci][c] for ci in chosen]))
                 expansions.append(x)
             for i in range(n):
                 src = up(f, i)
                 if src not in mod.block_dim:
                     continue
-                blk = linalg.zeros(target_rank, mod.block_dim[src])
+                blk = zeros(target_rank, mod.block_dim[src])
                 for b in range(mod.block_dim[src]):
                     ci = cands.index((i, b))
                     for r in range(target_rank):
@@ -498,7 +493,7 @@ def _reference_realize(lam: Weight) -> ModuleRealization:
                 tgt = up(f, i)
                 if tgt not in mod.block_dim:
                     continue
-                blk = linalg.zeros(mod.block_dim[tgt], target_rank)
+                blk = zeros(mod.block_dim[tgt], target_rank)
                 for k in range(target_rank):
                     j, b2 = mod.parent[(f, k)]
                     col = f_of_e(i, j, up(f, j), b2) or [zero] * mod.block_dim[tgt]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liefusion import linalg
+from rational_view import frac_matmul, rational
 from liefusion.lattice import (
     Cocycle,
     DualCocycle,
@@ -181,10 +182,10 @@ def _fraction_cocycle_forms(lat):
     q = [[Fraction(x) for x in row] for row in lat.gram]
     r = [[q[i][j] if i < j else (-q[i][j] if i > j else Fraction(0)) for j in range(n)]
          for i in range(n)]
-    qinv = linalg.inverse(q)
-    t = linalg.matmul(linalg.matmul(qinv, r), qinv)
+    qinv = rational(linalg.inverse(q))
+    t = frac_matmul(frac_matmul(qinv, r), qinv)
     s = [[t[i][j] if i > j else Fraction(0) for j in range(n)] for i in range(n)]
-    return linalg.matmul(linalg.matmul(q, s), q), r
+    return frac_matmul(frac_matmul(q, s), q), r
 
 
 @st.composite

@@ -9,6 +9,9 @@ from liefusion.affine import _comm, casimir_eigenvalue
 from liefusion.chevalley import _span_closure, build_simply_laced, unitary_closure
 from liefusion.highmod import realize_module
 from liefusion.rootsys import AlgebraId, Weight
+from rational_view import (
+    frac_matmul, identity, matvec, rational, rational_vector, rref_view,
+)
 
 
 def frac_matrix(rows):
@@ -20,6 +23,7 @@ def test_rref_rank_nullspace():
     assert linalg.rank(a) == 2
     ns = linalg.nullspace(a)
     assert len(ns) == 1
+    assert all(type(x) is int for x in ns[0])
     for row in a:
         assert sum(x * y for x, y in zip(row, ns[0])) == 0
 
@@ -32,10 +36,10 @@ def test_solve_and_inverse_random():
         while linalg.rank(a) < n:
             a = frac_matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        b = linalg.matvec(a, x)
-        assert linalg.solve(a, b) == x
+        b = matvec(a, x)
+        assert rational_vector(linalg.solve(a, b)) == x
         inv = linalg.inverse(a)
-        assert linalg.matmul(a, inv) == linalg.identity(n)
+        assert frac_matmul(a, rational(inv)) == identity(n)
 
 
 def _naive_matmul(a, b):
@@ -54,26 +58,30 @@ def test_matmul_random_rationals():
              for _ in range(n)]
         b = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(m)]
              for _ in range(k)]
-        assert linalg.matmul(a, b) == _naive_matmul(a, b)
+        (an, da), (bn, db) = linalg.scaled(a), linalg.scaled(b)
+        nums, d = linalg.matmul((an, da), (bn, db))
+        assert d == da * db and all(type(x) is int for row in nums for x in row)
+        assert rational((nums, d)) == _naive_matmul(a, b)
 
 
 def test_matmul_mixed_int_fraction_entries():
     a = [[1, Fraction(1, 2)], [Fraction(-3, 4), 2]]
     b = [[Fraction(2, 3), 0], [5, Fraction(1, 6)]]
-    got = linalg.matmul(a, b)
+    nums, d = linalg.matmul(linalg.scaled(a), linalg.scaled(b))
+    assert d == 4 * 6 and all(type(x) is int for row in nums for x in row)
+    got = rational((nums, d))
     assert got == [[Fraction(19, 6), Fraction(1, 12)], [Fraction(19, 2), Fraction(1, 3)]]
     assert got == _naive_matmul(a, b)
-    assert all(type(x) is Fraction for row in got for x in row)
-    ints = linalg.matmul([[1, 2]], [[3], [4]])
-    assert ints == [[Fraction(11)]]
-    assert type(ints[0][0]) is Fraction
+    ints = linalg.matmul(([[1, 2]], 1), ([[3], [4]], 1))
+    assert ints == ([[11]], 1)
+    assert type(ints[0][0][0]) is int
 
 
 def test_matmul_empty_shapes():
-    b = frac_matrix([[1, 2], [3, 4]])
-    assert linalg.matmul([], b) == []
-    a = frac_matrix([[1, 2], [3, 4], [5, 6]])
-    assert linalg.matmul(a, []) == [[], [], []]
+    b = linalg.scaled(frac_matrix([[1, 2], [3, 4]]))
+    assert linalg.matmul(([], 1), b) == ([], 1)
+    a = linalg.scaled(frac_matrix([[1, 2], [3, 4], [5, 6]]))
+    assert linalg.matmul(a, ([], 1)) == ([[], [], []], 1)
 
 
 # -- references: the eliminations that Echelon and det replaced ---------------
@@ -130,7 +138,7 @@ def _ref_solve(a, b):
 
 def _ref_inverse(a):
     n = len(a)
-    red, pivots = _ref_rref([a[i][:] + linalg.identity(n)[i] for i in range(n)])
+    red, pivots = _ref_rref([a[i][:] + identity(n)[i] for i in range(n)])
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in red]
@@ -370,7 +378,7 @@ def test_det_matches_reference_and_rank(a):
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(_square(n), _square(n))))
 def test_det_is_multiplicative(ab):
     a, b = ab
-    assert linalg.det(linalg.matmul(a, b)) == linalg.det(a) * linalg.det(b)
+    assert linalg.det(frac_matmul(a, b)) == linalg.det(a) * linalg.det(b)
 
 
 def test_det_small_cases():
@@ -401,15 +409,21 @@ def _matrix(draw):
 @example([[]])
 @example([[], []])
 def test_rref_rank_nullspace_match_dense_reference(a):
-    red, pivots = linalg.rref(a)
-    assert (red, pivots) == _ref_rref(a)
+    assert rref_view(a) == _ref_rref(a)
+    nums, d, pivots = linalg.rref(a)
     assert linalg.rank(a) == len(pivots)
-    assert linalg.nullspace(a) == _ref_nullspace(a)
-    # int input never leaks an int / int float: every entry is a Fraction,
-    # zeros and leads the module constants
-    assert all(type(x) is Fraction for row in red for x in row)
-    assert all(x is linalg.ZERO for row in red for x in row if not x)
-    assert all(red[r][c] is linalg.ONE for r, c in enumerate(pivots))
+    # the pair is all ints over d > 0, and every pivot entry is d: a leading 1
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in nums for x in row)
+    assert all(nums[r][c] == d for r, c in enumerate(pivots))
+    # each nullspace vector is an int vector, a positive multiple of the
+    # reference's, which holds 1 at its free column
+    ns, ref = linalg.nullspace(a), _ref_nullspace(a)
+    free = [c for c in range(len(a[0]) if a else 0) if c not in pivots]
+    assert len(ns) == len(ref) == (len(free) if a else 0)
+    for v, r, fc in zip(ns, ref, free):
+        assert all(type(x) is int for x in v) and v[fc] > 0
+        assert [Fraction(x, v[fc]) for x in v] == r
 
 
 @settings(max_examples=200, deadline=None)
@@ -419,10 +433,15 @@ def test_rref_rank_nullspace_match_dense_reference(a):
 def test_solve_inverse_match_dense_reference(ab):
     a, b = ab
     x, inv = _outcome(linalg.solve, a, b), _outcome(linalg.inverse, a)
-    assert x == _outcome(_ref_solve, a, b)
-    assert inv == _outcome(_ref_inverse, a)
+    assert (x if x is ValueError else rational_vector(x)) == _outcome(_ref_solve, a, b)
+    assert (inv if inv is ValueError else rational(inv)) == _outcome(_ref_inverse, a)
     if inv is not ValueError:
-        assert all(type(v) is Fraction for v in x + [v for row in inv for v in row])
+        # both pairs are ints over a den > 0, in lowest terms
+        (xn, xd), (inn, ind) = x, inv
+        entries = [v for row in inn for v in row]
+        assert all(type(v) is int for v in xn + entries + [xd, ind])
+        assert xd > 0 and math.gcd(xd, *xn) == 1
+        assert ind > 0 and math.gcd(ind, *entries) == 1
 
 
 # -- references: the closure loops that linalg.closure replaced ---------------
@@ -435,7 +454,7 @@ def _ref_span_closure(ops, seed_vecs):
         new = []
         for v in frontier:
             for op in ops:
-                w = linalg.matvec(op, v)
+                w = matvec(op, v)
                 if ech.add(dict(enumerate(w))):
                     new.append(w)
         frontier = new
@@ -481,7 +500,7 @@ def test_span_closure_matches_reference_loop():
     mod = realize_module(Weight.from_fundamental(AlgebraId("D", 4), [1, 0, 0, 0]))
     ops = []
     for x in "EF":
-        ms = [mod.full_matrix(x, i) for i in range(4)]
+        ms = [rational(mod.full_matrix(x, i)) for i in range(4)]
         ops += ms[:2] + [[[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(ms[2], ms[3])]]
     seed = [[Fraction(int(i == 0)) for i in range(mod.dim)]]
     new, ref = _span_closure(ops, seed), _ref_span_closure(ops, seed)
@@ -504,7 +523,7 @@ def test_casimir_closure_spans_the_reference_space(monkeypatch):
         casimir_eigenvalue(lam)
         basis, ech = seen.pop()
         mod = realize_module(lam)
-        gens = [mod.full_matrix(x, i) for x in "EFH" for i in range(aid.rank)]
+        gens = [rational(mod.full_matrix(x, i)) for x in "EFH" for i in range(aid.rank)]
         ref = _ref_casimir_closure(gens)
         assert len(basis) == len(ech.rows) == len(ref) == dim
         assert all(not ech.reduce(_flat(m)) for m in ref)

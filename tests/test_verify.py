@@ -6,6 +6,7 @@ from liefusion import linalg
 from liefusion.highmod import dominant_character, weight_multiplicity, weyl_dimension
 from liefusion.rootsys import AlgebraId, Weight, build_root_system
 from liefusion.verify import VerificationReport, verify_e8, verify_full
+from rational_view import rational
 
 
 def weyl_group_elements(aid):
@@ -62,7 +63,7 @@ def brute_multiplicity(aid, lam, mu, weyl, pfun):
     """Alternating sum over the Weyl group with the partition function."""
     rs = build_root_system(aid)
     n = aid.rank
-    inv = linalg.inverse([[Fraction(x) for x in row] for row in rs.cartan_matrix])
+    inv = rational(linalg.inverse(rs.cartan_matrix))
     rho = tuple(1 for _ in range(n))
     lam_rho = tuple(int(a) + 1 for a in lam.fundamental)
     mu_rho = tuple(Fraction(a) + 1 for a in mu.fundamental)
@@ -133,11 +134,16 @@ def test_report_invariants():
 
 
 def test_reduced_full_suite_deterministic():
+    import json
+    import pathlib
+
     kwargs = dict(seed=11, cap=16, cutoffs=(3, 4), levels=(1,))
     a = verify_full(**kwargs).to_json()
     b = verify_full(**kwargs).to_json()
     assert a == b
-    import json
+    # byte for byte the recorded report of this reduced suite
+    golden = pathlib.Path(__file__).with_name("reduced_suite_seed11.json")
+    assert a == golden.read_text()
 
     data = json.loads(a)
     assumed = [r for r in data["results"] if r["status"] == "assumed"]
@@ -221,3 +227,32 @@ def test_tensor_agreement_sees_a_perturbed_f_block(monkeypatch):
     # F_1 no longer maps the top of L(2) onto the zero weight: the rank
     # route finds L(0) in L(2) (x) L(0), which Klimyk does not
     assert "first: ('A1', (2,), (0,), (0,), 'rank', 0, 1)" in claim.detail
+
+
+def test_fusion_agreement_sees_an_oracle_off_by_one(monkeypatch):
+    import liefusion.verify as verify
+    from liefusion.affine import AffineWeight
+
+    real = verify.kac_walton_fusion
+    b2 = AlgebraId("B", 2)
+    target = (AffineWeight(Weight.from_fundamental(b2, [0, 1]), 1),
+              AffineWeight(Weight.from_fundamental(b2, [0, 1]), 1),
+              AffineWeight(Weight.from_fundamental(b2, [0, 0]), 1))
+
+    def off_by_one(q):
+        # the oracle's own value, raised by one on the pinned query only
+        return real(q) + ((q.lam, q.mu, q.nu) == target)
+
+    def fusion_claim():
+        report = VerificationReport("f")
+        verify.check_fusion_theorems(report, levels=(1,))
+        return next(r for r in report.results if r.claim_id == "fusion-closed-forms")
+
+    assert fusion_claim().status == "pass"
+    monkeypatch.setattr(verify, "kac_walton_fusion", off_by_one)
+    claim = fusion_claim()
+    assert claim.status == "fail"
+    # the spin charge of B2 at level 1: L(0,1) (x) L(0,1) holds L(0,0) once,
+    # which the perturbed oracle counts twice
+    assert ", 1 disagreements; first: ('B2', 1, 'last', '(0,1)@1', '(0,0)@1', 1, 2)" \
+        in claim.detail

@@ -16,6 +16,7 @@ from functools import lru_cache
 from liefusion import linalg
 from liefusion.rootsys import AlgebraId, build_root_system
 from liefusion.tensor import tensor_decomposition
+from rational_view import rational
 
 ZERO = Fraction(0)
 
@@ -23,7 +24,7 @@ ZERO = Fraction(0)
 @lru_cache(maxsize=None)
 def cartan_inverse(aid: AlgebraId):
     cartan = build_root_system(aid).cartan_matrix
-    return linalg.inverse([[Fraction(x) for x in row] for row in cartan])
+    return rational(linalg.inverse(cartan))
 
 
 @dataclass(frozen=True)
