@@ -515,6 +515,15 @@ class EnergyBoundReport:
     verdict: str         # "PASS" | "FAIL"
 
 
+def probe_cutoffs(cutoffs) -> tuple:
+    """The cutoffs of an energy-bound probe, sorted; no cutoff, or a
+    negative one, is a usage error (ValueError)."""
+    cutoffs = tuple(sorted(cutoffs))
+    if not cutoffs or cutoffs[0] < 0:
+        raise ValueError(f"the probe needs cutoffs >= 0, got {list(cutoffs)}")
+    return cutoffs
+
+
 def energy_bound_probe(space: ChargeSpace, alpha, order: int, cutoffs,
                        max_abs_mode: int = 6,
                        slack: float = 1.05) -> EnergyBoundReport:
@@ -527,9 +536,7 @@ def energy_bound_probe(space: ChargeSpace, alpha, order: int, cutoffs,
     (1 + l)^{-order} on source level l, so a mode's norm is the largest
     scaled block norm, 0 when no block lies within the cutoff.
     """
-    cutoffs = tuple(sorted(cutoffs))
-    if not cutoffs or cutoffs[0] < 0:
-        raise ValueError(f"the probe needs cutoffs >= 0, got {list(cutoffs)}")
+    cutoffs = probe_cutoffs(cutoffs)
     if max_abs_mode < 0:
         raise ValueError(f"max_abs_mode must be >= 0, got {max_abs_mode}")
     if not (math.isfinite(slack) and slack > 0):

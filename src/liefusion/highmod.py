@@ -27,6 +27,14 @@ rref of the candidate Gram (`linalg.rref`, fraction-free) already
 expand every candidate over the pivot ones: those rows are the F-blocks
 into f.
 
+A weight with one candidate (one source, of dimension 1; most weights,
+and every weight of A1) takes a scalar step instead: every block is 1x1,
+M_ii is one number num / den (the F-row at src + alpha_i times the E-column
+at src, plus src_i den), the Gram entry is gram[src] num / den under the
+same integrality check, and its rank, 1 or 0, is checked against the
+multiplicity; the F-block is [[1]]. No elimination runs, and the pairs,
+Gram entries and `parent` entries are those the matrix path gives.
+
 Every matrix here stays in linalg's (numerators, den) form: `full_matrix`
 returns one such pair, and `hom_space_basis` reads each Gram inverse as
 one. Rationals are built only on the intertwiner route: its sparse tensor
@@ -304,6 +312,10 @@ def realize_module(lam: Weight) -> ModuleRealization:
     def up(f, i):
         return tuple(map(add, f, cartan[i]))
 
+    def not_integral(src, f):
+        return InvariantError(f"candidate Gram block of source {src} at weight "
+                              f"{f} of L({lam}) is not integral")
+
     for d in sorted(by_depth):
         if d == 0:
             continue
@@ -315,41 +327,61 @@ def realize_module(lam: Weight) -> ModuleRealization:
             cands = [(i, b) for i, src in srcs for b in range(mod.block_dim[src])]
             target_rank = weights[f]
 
-            # m[i] is the row of blocks M_ij = F_j E_i + delta_ij <src_i, a_i^vee>
-            # over every source j, one (numerators, den) pair: the matrix of
-            # E_i on the candidates. By contravariance the candidate Gram
-            # block is <F_i b, F_j b'> = (gram[src_i] M_ij)[b][b']
-            m = {}
-            for i, src_i in srcs:
-                row = []
-                for j, src_j in srcs:
-                    e = mod.e_block.get((i, src_j))
-                    blk = (linalg.matmul(mod.f_block[(j, up(src_j, i))], e) if e else
-                           ([[0] * mod.block_dim[src_j] for _ in range(mod.block_dim[src_i])], 1))
-                    if i == j:
-                        for b in range(len(blk[0])):
-                            blk[0][b][b] += src_i[i] * blk[1]
-                    row.append(blk)
-                den = math.lcm(*(q for _, q in row))
-                m[i] = linalg.lowest([[x * (den // q) for nums, q in row for x in nums[b]]
-                                      for b in range(mod.block_dim[src_i])], den)
+            if len(cands) == 1:
+                # one candidate F_i b: every block is 1x1. M_ii is the number
+                # num / den, the Gram block gram[src] num / den, and the rref
+                # of a 1x1 Gram is [[1]], or no row when the Gram is 0
+                (i, src), = srcs
+                e = mod.e_block.get((i, src))
+                if e:
+                    (fnums, fden), (enums, den) = mod.f_block[(i, up(src, i))], e
+                    den *= fden
+                    num = sum(map(mul, fnums[0], (r[0] for r in enums))) + src[i] * den
+                else:
+                    num, den = src[i], 1
+                x, rem = divmod(mod.gram[src][0][0] * num, den)
+                if rem:
+                    raise not_integral(src, f)
+                m, g = {i: linalg.lowest([[num]], den)}, [[x]]
+                red, den, pivots = ([[1]], 1, [0]) if x else ([], 1, [])
+            else:
+                # m[i] is the row of blocks M_ij = F_j E_i + delta_ij <src_i, a_i^vee>
+                # over every source j, one (numerators, den) pair: the matrix
+                # of E_i on the candidates. By contravariance the candidate
+                # Gram block is <F_i b, F_j b'> = (gram[src_i] M_ij)[b][b']
+                m = {}
+                for i, src_i in srcs:
+                    row = []
+                    for j, src_j in srcs:
+                        e = mod.e_block.get((i, src_j))
+                        blk = (linalg.matmul(mod.f_block[(j, up(src_j, i))], e) if e else
+                               ([[0] * mod.block_dim[src_j]
+                                 for _ in range(mod.block_dim[src_i])], 1))
+                        if i == j:
+                            for b in range(len(blk[0])):
+                                blk[0][b][b] += src_i[i] * blk[1]
+                        row.append(blk)
+                    den = math.lcm(*(q for _, q in row))
+                    m[i] = linalg.lowest([[x * (den // q) for nums, q in row for x in nums[b]]
+                                          for b in range(mod.block_dim[src_i])], den)
 
-            # the Gram matrix is symmetric: one product per source row for
-            # the blocks on and right of the diagonal, mirrored below it. It
-            # is integral (the Kostant Z-form), so each product divides back
-            g = [[] for _ in cands]
-            at = 0
-            for i, src_i in srcs:
-                nums, den = m[i]
-                prod, den = linalg.matmul((mod.gram[src_i], 1), ([r[at:] for r in nums], den))
-                if any(x % den for r in prod for x in r):
-                    raise InvariantError(f"candidate Gram block of source {src_i} at weight "
-                                         f"{f} of L({lam}) is not integral")
-                for b, grow in enumerate(prod):
-                    g[at + b] = [g[c][at + b] for c in range(at)] + [x // den for x in grow]
-                at += mod.block_dim[src_i]
+                # the Gram matrix is symmetric: one product per source row for
+                # the blocks on and right of the diagonal, mirrored below it.
+                # It is integral (the Kostant Z-form), so each product divides
+                # back
+                g = [[] for _ in cands]
+                at = 0
+                for i, src_i in srcs:
+                    nums, den = m[i]
+                    prod, den = linalg.matmul((mod.gram[src_i], 1),
+                                              ([r[at:] for r in nums], den))
+                    if any(x % den for r in prod for x in r):
+                        raise not_integral(src_i, f)
+                    for b, grow in enumerate(prod):
+                        g[at + b] = [g[c][at + b] for c in range(at)] + [x // den for x in grow]
+                    at += mod.block_dim[src_i]
 
-            red, den, pivots = linalg.rref(g)
+                red, den, pivots = linalg.rref(g)
             if len(pivots) != target_rank:
                 raise InvariantError(f"Gram rank {len(pivots)} != Freudenthal multiplicity "
                                      f"{target_rank} at weight {f} of L({lam}) "

@@ -72,10 +72,11 @@ class Echelon:
 
     Each kept row is a primitive integer vector (its entries share no
     factor) that leads with its least key, and its lead entry is positive.
-    A new vector v is scaled to integers and reduced against the kept rows
-    in insertion order: for a row b whose lead key v holds, v becomes
-    (b_lead / g) v - (v_lead / g) b, g the gcd of the two lead entries, so
-    no step divides. What is left is kept, made primitive, if it is nonzero.
+    A new vector v is scaled to integers (an all-int one is taken as it
+    is) and reduced against the kept rows in insertion order: for a row b
+    whose lead key v holds, v becomes (b_lead / g) v - (v_lead / g) b, g the
+    gcd of the two lead entries, so no step divides. What is left is kept,
+    made primitive, if it is nonzero.
     """
 
     def __init__(self):
@@ -84,8 +85,11 @@ class Echelon:
     def scaled_reduce(self, v: dict) -> tuple[dict, int, int]:
         """(w, p, q): w is p / q times the remainder of v, made primitive
         with a positive lead; w is {} when v lies in the span."""
-        p = math.lcm(*(x.denominator for x in v.values()))
-        w = {k: x.numerator * (p // x.denominator) for k, x in v.items() if x}
+        if all(type(x) is int for x in v.values()):
+            p, w = 1, {k: x for k, x in v.items() if x}
+        else:
+            p = math.lcm(*(x.denominator for x in v.values()))
+            w = {k: x.numerator * (p // x.denominator) for k, x in v.items() if x}
         for lead, b in self.rows:
             x = w.get(lead)
             if x:

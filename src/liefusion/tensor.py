@@ -95,8 +95,10 @@ def weight_space_criterion(q: TensorQuery) -> int | None:
 def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
     """Tuple-level overshoot-rank computation on a realized module.
 
-    Each power applies the F-blocks' integer numerators and drops their
-    denominators: that scales the product, which leaves its rank as it is.
+    A chain starts from the numerators of the first F-block of F_i^power
+    and multiplies in the numerators of each further one, dropping every
+    denominator: that scales the product, which leaves its rank as it is.
+    A chain that leaves the module adds no columns.
     """
     if w_fund not in mod.block_dim:
         return 0
@@ -108,15 +110,16 @@ def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
     for i in range(n):
         power = mu_fund[i] + 1
         f = tuple(w_fund[k] + power * cartan[i][k] for k in range(n))
-        if f not in mod.block_dim:
+        if (i, f) not in mod.f_block:
             continue
         # the columns of F_i^power on the block f, one numerator product
-        block = [[int(r == c) for c in range(mod.block_dim[f])] for r in range(mod.block_dim[f])]
-        for _ in range(power):
+        # per power after the first
+        block = mod.f_block[(i, f)][0]
+        for _ in range(power - 1):
+            f = tuple(f[k] - cartan[i][k] for k in range(n))
             if (i, f) not in mod.f_block:
                 break
             block = linalg.matmul(mod.f_block[(i, f)], (block, 1))[0]
-            f = tuple(f[k] - cartan[i][k] for k in range(n))
         else:
             cols.extend(zip(*block))
     return base - linalg.rank(cols)

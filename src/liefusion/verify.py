@@ -46,6 +46,7 @@ from .heisenberg import (
     anticommutator_check,
     braid_phase_check,
     energy_bound_probe,
+    probe_cutoffs,
 )
 from .highmod import all_weights, check_cap, realize_module, weyl_dimension
 from .lattice import Cocycle, DualCocycle, IntegralLattice, lattice_fusion
@@ -534,7 +535,9 @@ def verify_e8(seed: int = 7) -> VerificationReport:
 
 def verify_full(seed: int = 7, cap: int = 512, cutoffs=(8, 12, 16),
                  levels=(1, 2, 3)) -> VerificationReport:
-    check_cap(cap, "sweep size")  # a usage error before any check runs
+    # usage errors, raised before any check runs
+    check_cap(cap, "sweep size")
+    cutoffs = probe_cutoffs(cutoffs)
     report = VerificationReport("full")
     check_e8_construction(report, seed)
     pair = check_exceptional_pair(report)

@@ -189,6 +189,19 @@ def test_verify_paper_cap_above_module_cap(capsys, monkeypatch):
     assert main(["verify-paper", "--cap", "17", "--cutoffs", "3,4"]) == 2
     assert "sweep size = 17 exceeds cap 16" in capsys.readouterr().err
 
+
+def test_verify_paper_negative_cutoff_before_any_check(capsys, monkeypatch):
+    # a negative cutoff is refused before the first check, like a bad --cap
+    import liefusion.verify as verify
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_e8_construction", no_check)
+    assert main(["verify-paper", "--cap", "16", "--levels", "1", "--cutoffs", "4,-3"]) == 2
+    assert "the probe needs cutoffs >= 0, got [-3, 4]" in capsys.readouterr().err
+
+
 def test_verify_e8_report(capsys):
     code, out = run(capsys, "verify-e8", "--seed", "7")
     data = json.loads(out)

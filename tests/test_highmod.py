@@ -609,26 +609,68 @@ print("exit:", main(["tensor", "--algebra", "B2", "--charge", "0,2",
     assert "verification failed: Gram rank" in out.stderr
 
 
-# A realization whose E-block out of weight (-3, 2) along alpha_1 has its
-# first numerator raised by one as it is stored; the 27-dim G2 module L(2, 0)
-# reads that block into a later candidate Gram block, which then no longer
-# divides back to integers.
-PERTURBED_E_BLOCK = '''
+# perturbed(field, key) is a realization whose generator block `key` in
+# `field` has its first numerator raised by one as it is stored. With the
+# E-block out of weight (-3, 2) along alpha_1 so raised, the 27-dim G2 module
+# L(2, 0) reads that block into a later candidate Gram block, which then no
+# longer divides back to integers.
+PERTURBED = '''
 import liefusion.highmod as h
 
-class _Bumped(dict):
-    def __setitem__(self, key, pair):
-        nums, den = pair
-        if key == (0, (-3, 2)):
-            nums = [row[:] for row in nums]
-            nums[0][0] += 1
-        super().__setitem__(key, (nums, den))
+def perturbed(field, key):
+    class Bumped(dict):
+        def __setitem__(self, k, pair):
+            nums, den = pair
+            if k == key:
+                nums = [row[:] for row in nums]
+                nums[0][0] += 1
+            super().__setitem__(k, (nums, den))
 
-class PerturbedRealization(h.ModuleRealization):
-    def __init__(self, lam):
-        super().__init__(lam)
-        self.e_block = _Bumped()
+    class PerturbedRealization(h.ModuleRealization):
+        def __init__(self, lam):
+            super().__init__(lam)
+            setattr(self, field, Bumped())
+
+    return PerturbedRealization
 '''
+
+# Both build invariants at one-candidate weights, where the build takes its
+# scalar step. A raised E-block numerator does not reach a one-candidate
+# weight's integrality check in any module of A1, B2, C2 or G2 up to dimension
+# 80 (every den of A1 is 1; elsewhere the F numerator or the source Gram
+# absorbs the den). So the first control raises the F-block into (-3, 0) along
+# alpha_2, which the one-candidate weight (0, -2) of the 77-dim G2 module
+# L(0, 2) reads: M = 21 / 10, against a source Gram that 5 does not divide.
+# The second bumps the multiplicity of the one-candidate weight -1 of the A1
+# module L(1) to 2.
+SCALAR_CONTROLS = PERTURBED + '''
+from liefusion.errors import InvariantError
+from liefusion.rootsys import AlgebraId, Weight
+
+def scalar_controls(build):
+    real, true_weights = h.ModuleRealization, h.all_weights
+    try:
+        h.ModuleRealization = perturbed("f_block", (1, (-6, 2)))
+        build(Weight.from_fundamental(AlgebraId("G", 2), [0, 2]))
+    except InvariantError as exc:
+        print("raised:", exc)
+    finally:
+        h.ModuleRealization = real
+    try:
+        h.all_weights = lambda lam: {**true_weights(lam), (-1,): 2}
+        build(Weight.from_fundamental(AlgebraId("A", 1), [1]))
+    except InvariantError as exc:
+        print("raised:", exc)
+    finally:
+        h.all_weights = true_weights
+'''
+
+SCALAR_RAISED = [
+    "raised: candidate Gram block of source (-3, 0) at weight (0, -2) of L((0,2)) "
+    "is not integral",
+    "raised: Gram rank 1 != Freudenthal multiplicity 2 at weight (-1,) of L((1)) "
+    "(1 candidates)",
+]
 
 
 def test_gram_integrality_is_a_named_invariant(monkeypatch):
@@ -636,12 +678,23 @@ def test_gram_integrality_is_a_named_invariant(monkeypatch):
     from liefusion.errors import InvariantError
 
     ns = {}
-    exec(PERTURBED_E_BLOCK, ns)
-    monkeypatch.setattr(h, "ModuleRealization", ns["PerturbedRealization"])
+    exec(PERTURBED, ns)
+    monkeypatch.setattr(h, "ModuleRealization", ns["perturbed"]("e_block", (0, (-3, 2))))
     # __wrapped__ builds past the cache, so no cached module is touched
     with pytest.raises(InvariantError, match=r"candidate Gram block of source \(0, 0\) "
                        r"at weight \(3, -2\) of L\(\(2,0\)\) is not integral"):
         h.realize_module.__wrapped__(W(G2, [2, 0]))
+
+
+def test_scalar_step_invariants_are_named(capsys):
+    # both build invariants fire at a one-candidate weight; __wrapped__ builds
+    # past the cache, so no cached module is touched
+    import liefusion.highmod as h
+
+    ns = {}
+    exec(SCALAR_CONTROLS, ns)
+    ns["scalar_controls"](h.realize_module.__wrapped__)
+    assert capsys.readouterr().out.splitlines() == SCALAR_RAISED
 
 
 def test_gram_invariants_survive_optimize():
@@ -651,12 +704,9 @@ def test_gram_invariants_survive_optimize():
     import subprocess
     import sys
 
-    script = PERTURBED_E_BLOCK + """
-from liefusion.errors import InvariantError
-from liefusion.rootsys import AlgebraId, Weight
-
+    script = SCALAR_CONTROLS + """
 real = h.ModuleRealization
-h.ModuleRealization = PerturbedRealization
+h.ModuleRealization = perturbed("e_block", (0, (-3, 2)))
 try:
     h.realize_module(Weight.from_fundamental(AlgebraId("G", 2), [2, 0]))
 except InvariantError as exc:
@@ -675,6 +725,8 @@ try:
     h.realize_module(Weight.from_fundamental(AlgebraId("B", 2), [0, 2]))
 except InvariantError as exc:
     print("raised:", exc)
+h.all_weights = true_weights
+scalar_controls(h.realize_module.__wrapped__)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -688,4 +740,5 @@ except InvariantError as exc:
         "is not integral",
         "raised: Gram rank 2 != Freudenthal multiplicity 3 at weight (0, 0) of L((0,2)) "
         "(2 candidates)",
+        *SCALAR_RAISED,
     ]

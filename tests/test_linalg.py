@@ -390,10 +390,10 @@ def test_det_small_cases():
 
 
 @st.composite
-def _matrix(draw):
+def _matrix(draw, entries=None):
     """Any shape up to 5 x 6, [] and [[]] among them, often rank-deficient."""
     n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
-    entries = draw(_kinds)
+    entries = draw(_kinds) if entries is None else entries
     rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
     if n >= 3 and draw(st.booleans()):
         # force a dependent row: a combination of two others
@@ -424,6 +424,27 @@ def test_rref_rank_nullspace_match_dense_reference(a):
     for v, r, fc in zip(ns, ref, free):
         assert all(type(x) is int for x in v) and v[fc] > 0
         assert [Fraction(x, v[fc]) for x in v] == r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix(_ints))
+@example([[]])
+def test_echelon_int_path_matches_fraction_path(a):
+    # all-int vectors enter `scaled_reduce` as they are; the same vectors as
+    # Fractions are scaled to integers first, and every result must agree
+    fa = [[Fraction(x) for x in row] for row in a]
+    ints, fracs = linalg.Echelon(), linalg.Echelon()
+    for row, frow in zip(a, fa):
+        got = ints.scaled_reduce(dict(enumerate(row)))
+        assert got == fracs.scaled_reduce(dict(enumerate(frow)))
+        assert all(type(x) is int for x in got[0].values())
+        assert ints.add(dict(enumerate(row))) == fracs.add(dict(enumerate(frow)))
+    assert ints.rows == fracs.rows
+    assert all(type(x) is int for _, b in ints.rows for x in b.values())
+    assert linalg.rank(a) == linalg.rank(fa)
+    assert linalg.rref(a) == linalg.rref(fa)
+    k = min(len(a), len(a[0]) if a else 0)
+    assert linalg.det([row[:k] for row in a[:k]]) == linalg.det([row[:k] for row in fa[:k]])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,14 @@
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from liefusion.highmod import weyl_dimension
+from liefusion.highmod import all_weights, realize_module, weyl_dimension
 from liefusion.rootsys import AlgebraId, Weight, build_root_system, dual_weight, inner_product
 from liefusion.tensor import (
     TensorQuery,
+    _rank_route_core,
     weight_space_criterion,
     g2_tensor_graph,
     rank_route_multiplicity,
@@ -110,6 +112,58 @@ def test_rank_route_matches_oracle_on_g2_low_heights():
             c = weight_space_criterion(query)
             if c is not None:
                 assert c == tensor_multiplicity(query)
+
+
+def _long_chains(lam, mu):
+    """(nu, i) for every dominant nu = sigma + mu, sigma a weight of L(lam), with
+    mu_i >= 2 and the overshoot chain of F_i^{mu_i + 1} starting in L(lam)."""
+    cartan = build_root_system(lam.algebra).cartan_matrix
+    weights = all_weights(lam)
+    out = []
+    for sigma in weights:
+        nu = tuple(a + b for a, b in zip(sigma, mu.fundamental))
+        for i, m in enumerate(mu.fundamental):
+            start = tuple(x + (m + 1) * c for x, c in zip(sigma, cartan[i]))
+            if min(nu) >= 0 and m >= 2 and start in weights:
+                out.append((nu, i))
+    return out
+
+
+@pytest.mark.parametrize("label, lam_f, mu_f", [
+    ("A2", [2, 2], [2, 0]), ("B2", [1, 2], [0, 2]), ("G2", [1, 1], [2, 0]),
+])
+def test_rank_route_matches_oracle_on_long_chains(label, lam_f, mu_f):
+    # mu_i >= 2: each overshoot chain is three or more F-blocks long, and
+    # some of them start inside L(lam), so their products enter the rank
+    aid = AlgebraId.parse(label)
+    lam, mu = W(aid, lam_f), W(aid, mu_f)
+    assert _long_chains(lam, mu)
+    dec = tensor_decomposition(lam, mu)
+    for sigma in all_weights(lam):
+        nu = [a + b for a, b in zip(sigma, mu_f)]
+        if min(nu) >= 0:
+            query = q(aid, lam_f, mu_f, nu)
+            assert rank_route_multiplicity(query) == dec.get(tuple(nu), 0), nu
+
+
+def test_rank_route_chain_leaving_the_module_adds_no_columns():
+    # on a realized module an alpha_i-string is unbroken, so a chain that
+    # starts in the module stays in it. With the middle F-block of a long
+    # chain cut out, the chain leaves the module partway: it must add no
+    # columns, like the chain whose first F-block is cut out
+    lam, mu = W(G2, [1, 1]), W(G2, [2, 0])
+    mod = realize_module(lam)
+    cartan = build_root_system(G2).cartan_matrix
+    nu, i = _long_chains(lam, mu)[0]
+    w = tuple(a - b for a, b in zip(nu, mu.fundamental))
+
+    def cut_at(k):
+        cut = copy.copy(mod)
+        cut.f_block = dict(mod.f_block)
+        del cut.f_block[(i, tuple(x + k * c for x, c in zip(w, cartan[i])))]
+        return _rank_route_core(cut, mu.fundamental, w)
+
+    assert _rank_route_core(mod, mu.fundamental, w) < cut_at(3) == cut_at(2)
 
 
 def test_g2_graph_structure():

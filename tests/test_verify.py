@@ -2,6 +2,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from liefusion import linalg
 from liefusion.highmod import dominant_character, weight_multiplicity, weyl_dimension
 from liefusion.rootsys import AlgebraId, Weight, build_root_system
@@ -153,6 +155,18 @@ def test_reduced_full_suite_deterministic():
     failed = [r["claim"] for r in data["results"] if r["status"] == "fail"]
     assert failed == ["energy-bound-order1"]
     assert data["passed"] is False
+
+
+def test_negative_cutoff_is_refused_before_any_check(monkeypatch):
+    import liefusion.verify as verify
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_e8_construction", no_check)
+    for cutoffs in ((4, -3), ()):
+        with pytest.raises(ValueError, match=r"the probe needs cutoffs >= 0"):
+            verify_full(cap=16, cutoffs=cutoffs, levels=(1,))
 
 
 def test_no_assert_guards_an_invariant():
