@@ -11,38 +11,50 @@ x^{-s-1} expansion, so the mode of index s shifts the oscillator level by
 -s - 1 - (alpha|mu). The bare oscillator operator E^-E^+ is expanded in
 x^{+n}, matching the anticommutator identity it satisfies at (a|a) = 1.
 
-Closed form of E^-(a,x) E^+(a,x). Read the state prod h_e(-n)^{k_{n,e}} as
+Orthogonal oscillator basis. The norms of the modes are unitary
+invariants, so the Fock space may be built over any orthogonal basis of
+the charge space; `ChargeSpace.basis` is the one Gram-Schmidt finds over Q,
+u_0, u_1, ... with d_e = (u_e|u_e) > 0 (the given basis when the Gram is
+diagonal). A state ((n, e), c), ... is the monomial prod u_e(-n)^c on the
+vacuum, and a charge a is read through a_e = (a|u_e) / d_e, its coordinate
+on u_e, and b_e = (a|u_e) = a_e d_e.
+
+Closed form of E^-(a,x) E^+(a,x). Read the state prod u_e(-n)^{k_{n,e}} as
 the monomial prod x_{n,e}^{k_{n,e}}. E^+ translates each variable,
-x_{n,e} -> x_{n,e} - (a|h_e), and E^- multiplies by exp(a_e x_{n,e} / n)
+x_{n,e} -> x_{n,e} - b_e, and E^- multiplies by exp(a_e x_{n,e} / n)
 (with x = 1; the level shift of a block fixes the power of x). So the entry
 from source counts k to target counts m factorizes over the modes (n, e):
 
     M[m, k] = prod_{(n,e)} f_{n,e}(k_{n,e}, m_{n,e}),
-    f(k, m) = sum_{j <= min(k, m)} C(k, j) (-(a|h_e))^{k-j} (a_e/n)^{m-j} / (m-j)!
+    f(k, m) = sum_{j <= min(k, m)} C(k, j) (-b_e)^{k-j} (a_e/n)^{m-j} / (m-j)!
 
 (Frenkel-Lepowsky-Meurman, Vertex Operator Algebras and the Monster, 1988,
 ch. 4; Kac, Vertex Algebras for Beginners, 1998, sec. 5). Each factor is
-kept as an int, scaled by n^m m! den(a_e)^m den((a|h_e))^k, so an entry is
+kept as an int, scaled by n^m m! den(a_e)^m den(b_e)^k, so an entry is
 one int product over the modes, over a row denominator prod n^m m!
-den(a_e)^m of the target state and a column denominator prod
-den((a|h_e))^k of the source state. A block is built on demand per (level
+den(a_e)^m of the target state and a column denominator prod den(b_e)^k
+of the source state. A block is built on demand per (level
 shift, source level) and held as (numerators, den) over one common den.
 
-Mode blocks, Gram blocks (`FockSpace.gram_block`) and their inverses are
-all carried in linalg's one exact matrix form, a (numerators, den) pair;
-Gram adjoints are `linalg.matmul` products of pairs, identities are tested
-exactly against delta * den, and a float is made only for a reported
-deviation or a norm (`n / d` on ints is correctly rounded, so it equals
-float(Fraction)). Rationals enter through the charge space (a Gram block
-is summed in Fractions, then scaled once to its pair) and leave only as the
-charge pairings and the braid check's leading coefficients.
+Gram blocks. Distinct states are orthogonal, and the state
+prod u_e(-n)^c has squared norm g = prod (n d_e)^c c!, so a level's Gram
+block is diagonal: `FockSpace.gram_block` hands out its diagonal as a
+(numerators, den) vector pair. Mode blocks are carried in linalg's one
+exact matrix form, a (numerators, den) pair; a Gram adjoint
+G_src^{-1} B^T G_tgt is B^T with its rows divided by g_src and its columns
+multiplied by g_tgt, identities are tested exactly against delta * den,
+and a float is made only for a reported deviation or a norm (`n / d` on
+ints is correctly rounded, so it equals float(Fraction)). Rationals enter
+through the charge space (its basis, the pivots d_e and the charge
+pairings) and leave only as the braid check's leading coefficients.
 
 Norms block by block. A mode of level shift d maps each source level l to
 the single target level l + d, and distinct source levels to distinct
-targets. In orthonormal coordinates (L_{l+d}^T B_l L_l^{-T}, with L the
-Cholesky factor of a level's Gram block) the mode is therefore the direct
-sum of its level blocks, and its operator norm is the largest block norm;
-with (1 + L0)^{-r} on the right, block l is scaled by (1 + l)^{-r}.
+targets. In orthonormal coordinates (each state divided by its norm
+sqrt(g), so the block B_l becomes diag(sqrt(g_{l+d})) B_l diag(1/sqrt(g_l)))
+the mode is therefore the direct sum of its level blocks, and its operator
+norm is the largest block norm; with (1 + L0)^{-r} on the right, block l is
+scaled by (1 + l)^{-r}.
 """
 from __future__ import annotations
 
@@ -62,7 +74,15 @@ ONE = Fraction(1)
 
 
 class ChargeSpace:
-    """A rational inner-product space housing the charges."""
+    """A rational inner-product space housing the charges.
+
+    `basis` is an orthogonal basis u_0, u_1, ... of the space, found by
+    Gram-Schmidt over Q in the given order: row e holds the coordinates of
+    u_e, so the rows are unit lower-triangular, and `norms[e]` = (u_e|u_e)
+    is the e-th pivot. For a diagonal Gram the basis is the given one. A
+    Gram that is not positive definite has a pivot <= 0 and is refused with
+    ValueError.
+    """
 
     def __init__(self, gram):
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
@@ -72,6 +92,21 @@ class ChargeSpace:
         if any(self.gram[i][j] != self.gram[j][i]
                for i in range(self.rank) for j in range(self.rank)):
             raise ValueError("gram must be symmetric")
+        basis: list = []
+        norms: list = []
+        for e in range(self.rank):
+            u = [ONE if j == e else ZERO for j in range(self.rank)]
+            for v, d in zip(basis, norms):
+                c = self.pairing(u, v) / d
+                u = [x - c * y for x, y in zip(u, v)]
+            d = self.pairing(u, u)
+            if d <= 0:
+                raise ValueError(
+                    f"gram must be positive definite, got pivot {d} at row {e}")
+            basis.append(tuple(u))
+            norms.append(d)
+        self.basis = tuple(basis)
+        self.norms = tuple(norms)
 
     def pairing(self, a, b) -> Fraction:
         return sum(
@@ -87,11 +122,8 @@ class ChargeSpace:
         return hash(self.gram)
 
 
-# a Fock state is a sorted tuple of ((n, dir), count); level = sum n*count
-def _level(state) -> int:
-    return sum(n * c for (n, _), c in state)
-
-
+# a Fock state is a sorted tuple of ((n, e), count), the monomial
+# prod u_e(-n)^count on the vacuum; its level is sum n*count
 def _states(rank: int, level: int):
     """All oscillator multisets of the given level."""
 
@@ -115,8 +147,10 @@ def _states(rank: int, level: int):
 class FockSpace:
     """Truncated Fock space over a charge space: states graded by level.
 
-    The states, Gram blocks and their factorizations do not depend on the
-    charge, so every charged sector of one space and cutoff shares one.
+    The states are monomials in the oscillators u_e(-n) of the space's
+    orthogonal basis, so every Gram block is diagonal. The states and Gram
+    blocks do not depend on the charge, so every charged sector of one
+    space and cutoff shares one.
     """
 
     def __init__(self, space: ChargeSpace, cutoff: int):
@@ -124,88 +158,31 @@ class FockSpace:
         self.cutoff = cutoff
         self.levels = {l: _states(space.rank, l) for l in range(cutoff + 1)}
         # memos that live and die with this space
-        self._inner_cache: dict = {}
         self._gram_cache: dict = {}
-        self._inverse_cache: dict = {}
-        self._chol_cache: dict = {}
-
-    def _inner(self, s1, s2) -> Fraction:
-        """Inner product of two states whose oscillators share one mode n."""
-        if not s1:
-            return ONE if not s2 else ZERO
-        if _level(s1) != _level(s2):
-            return ZERO
-        if (s1, s2) in self._inner_cache:
-            return self._inner_cache[s1, s2]
-        (n, d), c = s1[0]
-        rest1 = _strip(s1, (n, d))
-        tot = ZERO
-        for (m, e), c2 in s2:
-            if m != n:
-                continue
-            q = self.space.gram[d][e]
-            if not q:
-                continue
-            tot += c2 * n * q * self._inner(rest1, _strip(s2, (m, e)))
-        self._inner_cache[s1, s2] = tot
-        return tot
+        self._norm_cache: dict = {}
 
     def gram_block(self, level: int) -> tuple:
-        """The level's Gram block as (numerators, den)."""
-        if level in self._gram_cache:
-            return self._gram_cache[level]
-        # oscillators of different modes n commute past each other, so an
-        # entry is the product over n of the inner products of the n-parts
-        parts = [_mode_parts(state) for state in self.levels[level]]
-        k = len(parts)
-        g = [[ZERO] * k for _ in range(k)]
-        for i, pi in enumerate(parts):
-            for j in range(i, k):
-                pj = parts[j]
-                if pi.keys() == pj.keys():
-                    x = ONE
-                    for n, sub in pi.items():
-                        x *= self._inner(sub, pj[n])
-                        if not x:
-                            break
-                    g[i][j] = g[j][i] = x
-        blk = self._gram_cache[level] = linalg.scaled(g)
+        """The diagonal of the level's Gram block as (numerators, den).
+
+        u_e(n) u_e(-n) = n (u_e|u_e) + u_e(-n) u_e(n), and oscillators of
+        different (n, e) commute and are orthogonal, so the state
+        prod u_e(-n)^c has squared norm prod (n (u_e|u_e))^c c!.
+        """
+        blk = self._gram_cache.get(level)
+        if blk is None:
+            d = self.space.norms
+            blk = self._gram_cache[level] = linalg.scaled_vector([
+                math.prod((n * d[e]) ** c * math.factorial(c) for (n, e), c in state)
+                for state in self.levels[level]])
         return blk
 
-    def gram_inverse(self, level: int) -> tuple:
-        """Exact inverse of the level's Gram block as (numerators, den)."""
-        if level not in self._inverse_cache:
-            # G = nums / den, so G^-1 = den inv(nums)
+    def state_norms(self, level: int) -> np.ndarray:
+        """The float norms of the level's states, the roots of its Gram diagonal."""
+        r = self._norm_cache.get(level)
+        if r is None:
             nums, den = self.gram_block(level)
-            inv, d = linalg.inverse(nums)
-            self._inverse_cache[level] = [[den * x for x in row] for row in inv], d
-        return self._inverse_cache[level]
-
-    def cholesky(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Float Cholesky factor L of the level's Gram block, and inv(L).T."""
-        if level not in self._chol_cache:
-            l = _chol(self.gram_block(level))
-            self._chol_cache[level] = (l, _inv_t(l))
-        return self._chol_cache[level]
-
-
-def _mode_parts(state) -> dict:
-    """{n: the oscillators of mode n} of a state."""
-    parts: dict = {}
-    for item in state:
-        parts.setdefault(item[0][0], []).append(item)
-    return {n: tuple(sub) for n, sub in parts.items()}
-
-
-def _strip(state, mode):
-    out = []
-    for key, c in state:
-        if key == mode:
-            if c > 1:
-                out.append((key, c - 1))
-        else:
-            out.append((key, c))
-    return tuple(out)
+            r = self._norm_cache[level] = np.sqrt(np.array([x / den for x in nums]))
+        return r
 
 
 class _ModeFamily:
@@ -222,10 +199,11 @@ class _ModeFamily:
 
     def __init__(self, space: ChargeSpace, alpha):
         self.rank = space.rank
-        unit = lambda e: [int(d == e) for d in range(self.rank)]
-        self._a = [(x.numerator, x.denominator) for x in alpha]
-        self._b = [(y.numerator, y.denominator)
-                   for y in (space.pairing(alpha, unit(e)) for e in range(self.rank))]
+        # b_e = (a|u_e), and a_e = b_e / (u_e|u_e) is a's coordinate on u_e
+        b = [space.pairing(alpha, u) for u in space.basis]
+        a = [y / d for y, d in zip(b, space.norms)]
+        self._a = [(x.numerator, x.denominator) for x in a]
+        self._b = [(y.numerator, y.denominator) for y in b]
         self._factors: dict = {}   # (i, k, m) -> scaled f_{n,e}(k, m)
         self._dens: dict = {}      # (i, level) -> [(row den, col den)] per state
         self._scales: dict = {}    # level -> (row scales, row lcm, col scales, col lcm)
@@ -348,29 +326,19 @@ class ModeMatrix:
     def float_matrix(self) -> dict:
         """{source level: float block} in orthonormalized coordinates.
 
+        The states are orthogonal, so dividing each by its norm makes a
+        basis orthonormal: a block's rows are scaled by the target states'
+        norms and its columns by the inverse norms of the source states.
         The mode maps level l only to level l + shift, and distinct source
         levels to distinct targets, so in orthonormal bases the operator is
         the direct sum of these blocks: its norm is the largest block norm.
         """
         out = {}
         for l, (nums, den) in self.blocks.items():
-            ls_inv_t = self.space.cholesky(l)[1]
-            ltm = self.space.cholesky(l + self.shift)[0]
             b = np.array([[x / den for x in row] for row in nums])
-            out[l] = ltm.T @ b @ ls_inv_t
+            out[l] = ((self.space.state_norms(l + self.shift)[:, None] * b)
+                      * (1 / self.space.state_norms(l)))
         return out
-
-
-def _chol(g) -> np.ndarray:
-    nums, den = g
-    m = np.array([[x / den for x in row] for row in nums])
-    return np.linalg.cholesky(m) if m.size else np.zeros((0, 0))
-
-
-def _inv_t(l) -> np.ndarray:
-    if l.size == 0:
-        return l
-    return np.linalg.inv(l).T
 
 
 @lru_cache(maxsize=64)
@@ -421,17 +389,20 @@ def _check_cutoff(cutoff: int) -> None:
 def _block_adjoint(blocks: dict, fk: FockSpace, n: int) -> dict:
     """Exact Gram adjoint of a level-shift-n block family: shifts by -n.
 
-    The result is keyed by its own source level (the original target);
-    blocks in and out are (numerators, den).
+    The adjoint G_src^{-1} B^T G_tgt maps level l + n back to l; with
+    diagonal Gram blocks it is B^T with row i divided by g_src[i] and
+    column j multiplied by g_tgt[j]. The result is keyed by its own source
+    level (the original target); blocks in and out are (numerators, den).
     """
     out = {}
     for l, (nums, den) in blocks.items():
         lt = l + n
-        # adjoint: G_src^{-1} B^T G_tgt, mapping level lt -> l
-        out[lt] = linalg.matmul(
-            fk.gram_inverse(l),
-            linalg.matmul((linalg.transpose(nums), den), fk.gram_block(lt)),
-        )
+        gs, ds = fk.gram_block(l)
+        gt, dt = fk.gram_block(lt)
+        # 1 / g_src[i] = ds (m // gs[i]) / m over the lcm m of the gs
+        m = math.lcm(*gs)
+        out[lt] = ([[ds * (m // g) * x * y for x, y in zip(col, gt)]
+                    for g, col in zip(gs, zip(*nums))], den * dt * m)
     return out
 
 

@@ -35,12 +35,6 @@ def transpose(a: list) -> list:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def scaled(a) -> tuple[list[list[int]], int]:
-    """(numerators, d) with a == numerators / d, d the lcm of a's denominators."""
-    d = math.lcm(*{x.denominator for row in a for x in row})
-    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
-
-
 def scaled_vector(v) -> tuple[list[int], int]:
     """(numerators, d) with v == numerators / d; all-int vectors pass as is."""
     if all(type(x) is int for x in v):

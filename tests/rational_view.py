@@ -3,9 +3,10 @@
 The package hands every exact matrix out as a (numerators, den) pair. The
 tests compare those results with Fraction references entry by entry, reading
 each pair through the views below; the helpers that build Fraction
-references (zeros, identity, matvec, a product of Fraction matrices) live
-here too.
+references (zeros, identity, matvec, a product of Fraction matrices) and
+the pair of a Fraction matrix (`scaled`) live here too.
 """
+import math
 from fractions import Fraction
 
 from liefusion import linalg
@@ -23,6 +24,12 @@ def rational_vector(pair):
     return [Fraction(x, den) for x in nums]
 
 
+def scaled(a):
+    """(numerators, d) with a == numerators / d, d the lcm of a's denominators."""
+    d = math.lcm(*{x.denominator for row in a for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
 def zeros(n, m):
     return [[Fraction(0)] * m for _ in range(n)]
 
@@ -37,7 +44,7 @@ def matvec(a, v):
 
 def frac_matmul(a, b):
     """The product of two int or Fraction matrices, through linalg.matmul."""
-    return rational(linalg.matmul(linalg.scaled(a), linalg.scaled(b)))
+    return rational(linalg.matmul(scaled(a), scaled(b)))
 
 
 def rref_view(a):

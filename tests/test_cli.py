@@ -117,6 +117,30 @@ def test_probe_slack_not_finite_and_positive_is_a_usage_error(capsys, slack):
     assert "slack must be finite and > 0" in captured.err
 
 
+@pytest.mark.parametrize("gram, charge", [
+    ("[[1, 2], [2, 1]]", "1,0"), ("[[1, 1], [1, 1]]", "1,0"), (None, "1"),
+])
+def test_probe_gram_not_positive_definite_is_a_usage_error(tmp_path, capsys,
+                                                           monkeypatch, gram, charge):
+    # refused when the charge space is built, before any mode block
+    from liefusion import heisenberg
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a mode block was built")
+
+    monkeypatch.setattr(heisenberg._ModeFamily, "block", no_block)
+    if gram is None:
+        space = ["--norm", "0"]
+    else:
+        path = tmp_path / "gram.json"
+        path.write_text(gram)
+        space = ["--gram", str(path)]
+    code = main(["probe", "--charge", charge, *space, "--cutoffs", "3,4", "--modes", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "gram must be positive definite" in captured.err
+
+
 def test_probe_mode_zero_alone(capsys):
     code, out = run(
         capsys, "probe", "--charge", "1", "--norm", "1",

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,9 +19,7 @@ from liefusion.heisenberg import (
     _fock_space,
     _leading_coefficients,
     _mode_family,
-    _strip,
 )
-from rational_view import rational
 
 ZERO = Fraction(0)
 
@@ -35,28 +34,116 @@ def test_fock_enumeration_matches_partitions():
         assert len(fk.levels[level]) == count
 
 
+# Reference: the Gram blocks of the monomials in the oscillators h_d(-n) of
+# a basis with a given Gram, by the pairing recursion the Fock layer used
+# before it moved to an orthogonal basis.
+
+def _strip(state, mode):
+    """The state with one oscillator of the given mode (n, d) removed."""
+    out = []
+    for key, c in state:
+        if key == mode:
+            if c > 1:
+                out.append((key, c - 1))
+        else:
+            out.append((key, c))
+    return tuple(out)
+
+
+def _reference_gram(gram, states):
+    """The full Fraction Gram matrix of the states, read as monomials in h_d(-n).
+
+    <h_d(-n) s1, s2> = <s1, h_d(n) s2>, and h_d(n) removes one oscillator
+    h_e(-n) of s2 at a time, each of its c copies giving n (h_d|h_e).
+    """
+    memo = {}
+
+    def inner(s1, s2):
+        if not s1:
+            return Fraction(int(not s2))
+        if sum(n * c for (n, _), c in s1) != sum(n * c for (n, _), c in s2):
+            return ZERO
+        if (s1, s2) not in memo:
+            (n, d), _ = s1[0]
+            rest = _strip(s1, (n, d))
+            memo[s1, s2] = sum(
+                (c2 * n * Fraction(gram[d][e]) * inner(rest, _strip(s2, (m, e)))
+                 for (m, e), c2 in s2 if m == n and gram[d][e]),
+                ZERO)
+        return memo[s1, s2]
+
+    return [[inner(s1, s2) for s2 in states] for s1 in states]
+
+
+def _assert_gram_is_the_orthogonal_diagonal(space, cutoff):
+    # the charge Gram in the basis u_e is diag(norms), and over it the
+    # reference recursion builds exactly the diagonal gram_block hands out
+    b = [[Fraction(x) for x in row] for row in space.basis]
+    gram_u = [[space.pairing(u, v) for v in b] for u in b]
+    assert gram_u == [[d if i == j else ZERO for j, _ in enumerate(space.norms)]
+                      for i, d in enumerate(space.norms)]
+    fk = FockSpace(space, cutoff)
+    for level, states in fk.levels.items():
+        nums, den = fk.gram_block(level)
+        diag = [Fraction(x, den) for x in nums]
+        assert _reference_gram(gram_u, states) == [
+            [g if i == j else ZERO for j in range(len(diag))]
+            for i, g in enumerate(diag)]
+        assert all(g > 0 for g in diag)
+
+
 def test_fock_gram_orthogonal_rank_one():
-    fk = FockSpace(TWO, 5)
-    for level in range(6):
-        g = rational(fk.gram_block(level))
-        for i in range(len(g)):
-            for j in range(len(g)):
-                if i != j:
-                    assert g[i][j] == 0
-                else:
-                    assert g[i][i] > 0
+    assert TWO.basis == ((1,),) and TWO.norms == (2,)
+    _assert_gram_is_the_orthogonal_diagonal(TWO, 5)
 
 
 def test_fock_gram_rank_two_exact():
     sp = ChargeSpace([[2, -1], [-1, 2]])
-    fk = FockSpace(sp, 3)
-    # single oscillators at level 1: <a_i(-1)v, a_j(-1)v> = gram
-    g = rational(fk.gram_block(1))
+    # u_0 = h_0, u_1 = h_1 + h_0 / 2 with (u_1|u_1) = 3/2
+    assert sp.basis == ((1, 0), (Fraction(1, 2), 1))
+    assert sp.norms == (2, Fraction(3, 2))
+    _assert_gram_is_the_orthogonal_diagonal(sp, 3)
+    # single h-oscillators at level 1: <h_i(-1)v, h_j(-1)v> = gram
+    g = _reference_gram(sp.gram, FockSpace(sp, 3).levels[1])
     assert g == [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+
+
+@st.composite
+def _rank_two_grams(draw):
+    p, q = draw(_positive_fraction), draw(_positive_fraction)
+    r = draw(_small_fraction)
+    return [[p, r], [r, q]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_two_grams())
+def test_charge_basis_is_orthogonal_and_unit_lower_triangular(gram):
+    (p, r), (_, q) = gram
+    if r * r >= p * q:
+        with pytest.raises(ValueError, match="positive definite"):
+            ChargeSpace(gram)
+        return
+    sp = ChargeSpace(gram)
+    (u00, u01), (u10, u11) = sp.basis
+    assert (u00, u01, u11) == (1, 0, 1)
+    assert sp.pairing(sp.basis[0], sp.basis[1]) == 0
+    assert sp.norms == (p, q - r * r / p)
+    assert [sp.pairing(u, u) for u in sp.basis] == list(sp.norms)
+    assert all(d > 0 for d in sp.norms)
+
+
+@pytest.mark.parametrize("gram", [
+    [[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[-1]],
+    [[2, -1, 0], [-1, 2, -2], [0, -2, 2]],
+])
+def test_charge_space_rejects_a_gram_that_is_not_positive_definite(gram):
+    with pytest.raises(ValueError, match="gram must be positive definite"):
+        ChargeSpace(gram)
 
 
 # Reference: the per-state exponential-series recursion that built the mode
 # blocks before the closed form, kept here to check the closed form against.
+# It works in the monomial h-basis of the given charge coordinates.
 
 def _annihilate(space, lam, n, vec):
     """lambda(n) for n > 0 on a vector over Fock states."""
@@ -133,6 +220,7 @@ def test_exp_series_against_hand_expansion():
     assert lvl2[(((2, 0), 1),)] == Fraction(1, 2)
 
 
+@lru_cache(maxsize=None)
 def _reference_family(space, alpha, cutoff):
     """E^-E^+ by the per-state recursion: E^- applied to each E^+ piece."""
     fk = _fock_space(space, cutoff)
@@ -163,18 +251,58 @@ def _reference_family(space, alpha, cutoff):
     return fam
 
 
+@lru_cache(maxsize=None)
+def _h_basis_blocks(space, alpha, cutoff):
+    """{(shift, level): float block} of E^-E^+(alpha) in orthonormal
+    coordinates, built entirely in the monomial h-basis: the per-state
+    recursion's blocks, the reference Gram blocks and numpy's Cholesky
+    factors L, as L_tgt^T B L_src^{-T}."""
+    fk = _fock_space(space, cutoff)
+    ref = _reference_family(space, alpha, cutoff)
+    frames = {}
+    for l, states in fk.levels.items():
+        g = np.array([[float(x) for x in row] for row in _reference_gram(space.gram, states)])
+        c = np.linalg.cholesky(g)
+        frames[l] = c, np.linalg.inv(c).T
+    out = {}
+    for d in range(-cutoff, cutoff + 1):
+        for l in range(max(0, -d), min(cutoff, cutoff - d) + 1):
+            blk = ref.get(d, {}).get(l)
+            b = (np.zeros((len(fk.levels[l + d]), len(fk.levels[l]))) if blk is None
+                 else np.array([[float(x) for x in row] for row in blk]))
+            out[d, l] = frames[l + d][0].T @ b @ frames[l][1]
+    return out
+
+
 def _assert_family_matches_reference(space, alpha, cutoff):
     fk = _fock_space(space, cutoff)
     ref = _reference_family(space, alpha, cutoff)
     fam = _mode_family(space, alpha)
+    diagonal = all(not space.gram[i][j] for i in range(space.rank)
+                   for j in range(space.rank) if i != j)
     for d in range(-cutoff, cutoff + 1):
         blocks = oscillator_mode(space, alpha, d, cutoff)
         assert set(blocks) == {l for l in range(cutoff + 1) if 0 <= l + d <= cutoff}
         for l, blk in blocks.items():
             assert blk is fam.block(d, l)
-            # a block the recursion never touched is a zero block
-            zero = [[0] * len(fk.levels[l]) for _ in fk.levels[l + d]]
-            assert _exact(blk) == ref.get(d, {}).get(l, zero), (cutoff, d, l)
+            if diagonal:
+                # the orthogonal basis is the given one, so the blocks agree
+                # exactly; a block the recursion never touched is a zero block
+                zero = [[0] * len(fk.levels[l]) for _ in fk.levels[l + d]]
+                assert _exact(blk) == ref.get(d, {}).get(l, zero), (cutoff, d, l)
+    # across the two bases the orthonormalized blocks differ by orthogonal
+    # changes of basis, so their singular values agree
+    want = _h_basis_blocks(space, alpha, cutoff)
+    zero = [0] * space.rank
+    for d in range(-cutoff, cutoff + 1):
+        got = heisenberg_mode(space, alpha, zero, -d - 1, cutoff).float_matrix()
+        assert sorted(got) == [l for dd, l in want if dd == d]
+        for l, b in got.items():
+            sv = np.linalg.svd(b, compute_uv=False)
+            ref_sv = np.linalg.svd(want[d, l], compute_uv=False)
+            top = max(ref_sv[0], 1.0)
+            assert math.isclose(sv[0], ref_sv[0], rel_tol=1e-12, abs_tol=1e-12), (d, l)
+            assert np.allclose(sv, ref_sv, rtol=1e-12, atol=1e-12 * top), (d, l)
 
 
 @pytest.mark.parametrize("gram, alpha, cutoffs", [
@@ -250,6 +378,11 @@ def _binomial_coefficients(x, cutoff):
     ([[1, 0], [0, 1]], (0, 1), (1, 0)),
     ([[2]], (1,), (1,)),
     ([[Fraction(7, 5)]], (Fraction(1, 2),), (Fraction(2, 3),)),
+    # non-diagonal Grams: the coefficients are basis-free
+    ([[2, -1], [-1, 2]], (1, 0), (0, 1)),
+    ([[2, -1], [-1, 2]], (1, 1), (1, 0)),
+    ([[2, 1], [1, 2]], (1, 0), (0, 1)),
+    ([[2, 1], [1, 2]], (1, -1), (Fraction(1, 2), 1)),
 ])
 def test_leading_coefficients_match_series_and_binomial(gram, first, second):
     space = ChargeSpace(gram)
@@ -299,6 +432,17 @@ def test_anticommutator_identity_exact():
         assert rep["max_deviation"] == 0.0
         assert rep["interior_columns"] > 0
         assert rep["boundary_columns_excluded"] > 0
+
+
+def test_anticommutator_identity_exact_on_a_non_orthogonal_gram():
+    # (alpha|alpha) = 1 on a Gram whose orthogonal basis is not the given
+    # one: the modes and their Gram adjoints live over u_0 = h_0 and
+    # u_1 = h_1 - h_0 / 2, and the identity still holds exactly
+    sp = ChargeSpace([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    assert sp.basis == ((1, 0), (Fraction(-1, 2), 1))
+    rep = anticommutator_check(sp, [1, 0], 6)
+    assert rep == {"max_deviation": 0.0, "interior_columns": 3475,
+                   "boundary_columns_excluded": 897}
 
 
 def _perturbed(blocks, level):
@@ -353,22 +497,24 @@ def test_vacuum_anticommutator_element():
 def _dense_probe_norms(space, alpha, order, cutoff, max_abs_mode):
     """Per-mode norms of the probe through one dense matrix per mode.
 
-    The reference for the block-by-block norms: every level block is placed
-    in one zero-padded matrix over all Fock states, the columns of source
-    level l are scaled by (1 + l)^{-order}, and the norm is a full SVD.
+    The reference for the block-by-block norms, built in the monomial
+    h-basis (`_h_basis_blocks`): every level block is placed in one
+    zero-padded matrix over all Fock states, the columns of source level l
+    are scaled by (1 + l)^{-order}, and the norm is a full SVD.
     """
     fk = _fock_space(space, cutoff)
+    blocks = _h_basis_blocks(space, tuple(Fraction(x) for x in alpha), cutoff)
     sizes = [len(fk.levels[l]) for l in range(cutoff + 1)]
     off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     out = {}
     for s in range(-max_abs_mode, max_abs_mode + 1):
-        mm = heisenberg_mode(space, alpha, [0] * space.rank, s, cutoff)
+        # from the vacuum sector the mode of index s shifts levels by -s - 1
+        shift = -s - 1
         a = np.zeros((off[-1], off[-1]))
-        for l, (nums, den) in mm.blocks.items():
-            lt = l + mm.shift
-            b = np.array([[x / den for x in row] for row in nums])
-            a[off[lt]:off[lt + 1], off[l]:off[l + 1]] = (
-                fk.cholesky(lt)[0].T @ b @ fk.cholesky(l)[1])
+        for (d, l), b in blocks.items():
+            if d == shift:
+                lt = l + d
+                a[off[lt]:off[lt + 1], off[l]:off[l + 1]] = b
         for l in range(cutoff + 1):
             a[:, off[l]:off[l + 1]] *= (1.0 + l) ** (-order)
         out[str(s)] = float(np.linalg.norm(a, 2))
@@ -477,8 +623,34 @@ def test_braid_factorization_verified():
 
 
 def test_braid_rejects_bad_configuration():
-    neg = ChargeSpace([[1, -1], [-1, 1]])
+    # the A2 root lattice: (alpha|beta) = -1 for the two simple roots
+    neg = ChargeSpace([[2, -1], [-1, 2]])
     with pytest.raises(ValueError, match="non-convergent"):
         braid_phase_check(neg, [1, 0], [0, 1], [0, 0], 6)
     with pytest.raises(ValueError, match="argument ordering"):
         braid_phase_check(UNIT, [1], [1], [1], 6, points=[(0.5, 1.0)])
+
+
+def test_braid_phase_claim_sees_a_raised_leading_coefficient(monkeypatch):
+    import liefusion.verify as verify
+
+    true_coefficients = heisenberg._leading_coefficients
+
+    def braid_claim():
+        report = verify.VerificationReport("h")
+        verify.check_heisenberg(report, cutoffs=(2, 3), anti_cutoffs=(2,),
+                                phase_cutoff=4)
+        return {r.claim_id: r.status for r in report.results}
+
+    def raised(space, first, second, cutoff):
+        cs = true_coefficients(space, first, second, cutoff)
+        cs[1] += 1
+        return cs
+
+    # only the braid-phase verdict reads the leading coefficients; at these
+    # small cutoffs the order-1 energy trend has not settled and FAILs
+    # either way
+    before = braid_claim()
+    assert before["braid-phase"] == "pass"
+    monkeypatch.setattr(heisenberg, "_leading_coefficients", raised)
+    assert braid_claim() == {**before, "braid-phase": "fail"}

@@ -10,7 +10,7 @@ from liefusion.chevalley import _span_closure, build_simply_laced, unitary_closu
 from liefusion.highmod import realize_module
 from liefusion.rootsys import AlgebraId, Weight
 from rational_view import (
-    frac_matmul, identity, matvec, rational, rational_vector, rref_view,
+    frac_matmul, identity, matvec, rational, rational_vector, rref_view, scaled,
 )
 
 
@@ -58,7 +58,7 @@ def test_matmul_random_rationals():
              for _ in range(n)]
         b = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(m)]
              for _ in range(k)]
-        (an, da), (bn, db) = linalg.scaled(a), linalg.scaled(b)
+        (an, da), (bn, db) = scaled(a), scaled(b)
         nums, d = linalg.matmul((an, da), (bn, db))
         assert d == da * db and all(type(x) is int for row in nums for x in row)
         assert rational((nums, d)) == _naive_matmul(a, b)
@@ -67,7 +67,7 @@ def test_matmul_random_rationals():
 def test_matmul_mixed_int_fraction_entries():
     a = [[1, Fraction(1, 2)], [Fraction(-3, 4), 2]]
     b = [[Fraction(2, 3), 0], [5, Fraction(1, 6)]]
-    nums, d = linalg.matmul(linalg.scaled(a), linalg.scaled(b))
+    nums, d = linalg.matmul(scaled(a), scaled(b))
     assert d == 4 * 6 and all(type(x) is int for row in nums for x in row)
     got = rational((nums, d))
     assert got == [[Fraction(19, 6), Fraction(1, 12)], [Fraction(19, 2), Fraction(1, 3)]]
@@ -78,9 +78,9 @@ def test_matmul_mixed_int_fraction_entries():
 
 
 def test_matmul_empty_shapes():
-    b = linalg.scaled(frac_matrix([[1, 2], [3, 4]]))
+    b = scaled(frac_matrix([[1, 2], [3, 4]]))
     assert linalg.matmul(([], 1), b) == ([], 1)
-    a = linalg.scaled(frac_matrix([[1, 2], [3, 4], [5, 6]]))
+    a = scaled(frac_matrix([[1, 2], [3, 4], [5, 6]]))
     assert linalg.matmul(a, ([], 1)) == ([[], [], []], 1)
 
 

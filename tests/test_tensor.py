@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from liefusion import linalg
 from liefusion.highmod import all_weights, realize_module, weyl_dimension
 from liefusion.rootsys import AlgebraId, Weight, build_root_system, dual_weight, inner_product
 from liefusion.tensor import (
@@ -164,6 +165,52 @@ def test_rank_route_chain_leaving_the_module_adds_no_columns():
         return _rank_route_core(cut, mu.fundamental, w)
 
     assert _rank_route_core(mod, mu.fundamental, w) < cut_at(3) == cut_at(2)
+
+
+def _dense_rank_route(mod, mu_fund, powers):
+    """{w: dim L[w] minus the rank of the overshoot columns} over every weight
+    w of the module, the columns of F_i^{mu_i + 1} on the block of
+    w + (mu_i + 1) alpha_i read off powers of the dense `full_matrix("F", i)`."""
+    cartan = build_root_system(mod.algebra).cartan_matrix
+    off = mod._offsets()
+    n = mod.algebra.rank
+    out = {}
+    for w, dim in mod.block_dim.items():
+        cols = []
+        for i in range(n):
+            power = mu_fund[i] + 1
+            f = tuple(w[k] + power * cartan[i][k] for k in range(n))
+            if f not in mod.block_dim:
+                continue
+            key = (i, power)
+            if key not in powers:
+                fi = mod.full_matrix("F", i)
+                m = fi
+                for _ in range(power - 1):
+                    m = linalg.matmul(fi, m)
+                powers[key] = m[0]
+            m = powers[key]
+            cols += [[m[r][c] for r in range(off[w], off[w] + dim)]
+                     for c in range(off[f], off[f] + mod.block_dim[f])]
+        out[w] = dim - linalg.rank(cols)
+    return out
+
+
+def test_rank_route_chain_length_matches_dense_powers():
+    # B2 L(2,0) (x) L(0,1) holds no L(0,1): F_2^2 from the weight (0,2) of
+    # L(2,0) covers the zero weight space. A chain one F-block short sees a
+    # multiplicity of 1 here
+    b2 = AlgebraId("B", 2)
+    query = q(b2, [2, 0], [0, 1], [0, 1])
+    assert tensor_multiplicity(query) == 0
+    assert rank_route_multiplicity(query) == 0
+    for label, lam_f, mu_f in (("B2", (2, 0), (0, 1)), ("A2", (2, 2), (2, 0)),
+                               ("B2", (1, 2), (0, 2)), ("G2", (1, 1), (2, 0))):
+        aid = AlgebraId.parse(label)
+        mod = realize_module(W(aid, lam_f))
+        want = _dense_rank_route(mod, mu_f, {})
+        got = {w: _rank_route_core(mod, mu_f, w) for w in mod.block_dim}
+        assert got == want, label
 
 
 def test_g2_graph_structure():
