@@ -2,7 +2,10 @@
 
 Multiplicities come from the Freudenthal recursion in integer arithmetic,
 run over the dominant chain: the dominant weights under the highest one,
-reached from it by subtracting positive roots. Each multiplicity is written
+reached from it by subtracting positive roots. Each alpha-string sum of the
+recursion is carried as running sums stored at the dominant weights, so
+only a string that leaves the dominant chamber at once is walked. Each
+multiplicity is written
 onto its Weyl orbit once, so one table per irreducible holds every weight;
 the recursion, the dimension check, ``all_weights`` and every reader of a
 weight-space dimension use that table.
@@ -25,7 +28,11 @@ integers, or the build stops with InvariantError. The new E-blocks out of f
 are columns of M_ij. The form on L(lam) is nondegenerate, so the rows of the
 rref of the candidate Gram (`linalg.rref`, fraction-free) already
 expand every candidate over the pivot ones: those rows are the F-blocks
-into f.
+into f. Where the multiplicity is 1 and every 2x2 minor of the Gram
+through its first nonzero diagonal entry vanishes, the rank is exactly 1
+and that entry's row, over the entry, is the rref: no elimination runs.
+Any other Gram goes through `linalg.rref`, so a wrong rank is still
+caught with the true one.
 
 A weight with one candidate (one source, of dimension 1; most weights,
 and every weight of A1) takes a scalar step instead: every block is 1x1,
@@ -123,6 +130,12 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     root-coordinate vector, with all inner products carried at a fixed
     common denominator; each multiplicity is written onto its whole Weyl
     orbit, which makes the one table of every weight.
+
+    Each alpha-string sum is kept as two running sums per dominant weight
+    (the saving Moody and Patera give, Bull. AMS 7, 1982): the string from
+    mu reads the sums of mu + alpha when that is a dominant weight already
+    done, and is walked only when no point of it is, so A1 L(n) costs O(n),
+    not O(n^2).
     """
     if not lam.is_dominant_integral():
         raise ValueError(f"{lam} is not dominant integral")
@@ -169,23 +182,38 @@ def dominant_character(lam: Weight) -> DominantCharacter:
 
     mults: dict = {lam_f: 1}
     weights = dict.fromkeys(weyl_orbit_fund(aid, lam_f), 1)
+    # the string sums of every dominant weight done so far, per positive
+    # root a: nu -> [(S1, S2), ...], S1 = sum_k m(nu + k a) and
+    # S2 = sum_k k m(nu + k a) over k >= 1
+    done = {lam_f: [(0, 0)] * len(pos_data)}
     for f in chain[1:]:
         t = depth[f]
         total = 0
-        for af, _, galpha, a_norm, a_lam in pos_data:
-            # (mu + k a | a) scaled = a_lam - (t|a)_s + k (a|a)_s. The table
-            # already holds mu + k a when it is a weight: dom(mu + k a) is
-            # >= mu + k a, so its depth is strictly below that of mu and its
-            # orbit was written earlier in the chain
-            ip = a_lam - sum(map(mul, t, galpha))
-            nu = f
-            while True:
-                nu = tuple(map(add, nu, af))
-                m = weights.get(nu, 0)
-                if m == 0:
-                    break
-                ip += a_norm
-                total += m * ip
+        sums = []
+        for r, (af, _, galpha, a_norm, a_lam) in enumerate(pos_data):
+            # sum_k m(mu + k a) (mu + k a | a) = (mu|a) S1 + (a|a) S2. The
+            # table already holds mu + k a when it is a weight: dom(mu + k a)
+            # is >= mu + k a, so its depth is strictly below that of mu and
+            # its orbit was written earlier in the chain. Each coordinate of
+            # mu + k a is monotone in k, so the dominant points of the string
+            # come first: either mu + a is a dominant weight already done,
+            # whose sums hold the rest of the string, or no point of the
+            # string is dominant, and it is walked to its end
+            nu = tuple(map(add, f, af))
+            if nu in done:
+                m = weights[nu]
+                t1, t2 = done[nu][r]
+                s1, s2 = m + t1, m + t1 + t2
+            else:
+                s1 = s2 = k = 0
+                while m := weights.get(nu, 0):
+                    k += 1
+                    s1 += m
+                    s2 += k * m
+                    nu = tuple(map(add, nu, af))
+            sums.append((s1, s2))
+            # (mu|a) scaled = a_lam - (t|a)_s
+            total += (a_lam - sum(map(mul, t, galpha))) * s1 + a_norm * s2
         # denom scaled: (lam+rho)^2 - (mu+rho)^2 with mu = lam - t
         t_norm = sum(t[i] * sgram[i][j] * t[j] for i in range(n) for j in range(n))
         t_lr = sum(t[i] * (lam_ip[i] + rho_ip[i]) for i in range(n))
@@ -199,6 +227,7 @@ def dominant_character(lam: Weight) -> DominantCharacter:
         if val:
             mults[f] = val
             weights.update(dict.fromkeys(weyl_orbit_fund(aid, f), val))
+            done[f] = sums
 
     dim = sum(weights.values())
     wd = weyl_dimension(lam)
@@ -275,6 +304,26 @@ class ModuleRealization:
                 for col, x in enumerate(r):
                     m[off[tgt] + row][off[f] + col] = x * (d // den)
         return m, d
+
+
+def _rank_one_rref(g: list) -> tuple | None:
+    """The rref of a symmetric int matrix g of rank 1, as ``linalg.rref``
+    gives it up to the scale of the row, or None when the rank is not 1.
+
+    c0 is the first column with g[c0][c0] != 0. The rank is 1 exactly when
+    every 2x2 minor through c0 vanishes: g[a][b] g[c0][c0] = g[a][c0]
+    g[c0][b]. Then every row is a multiple of row c0, whose entries before
+    c0 vanish by symmetry, so the rref is the one row g[c0] / g[c0][c0]
+    with pivot c0.
+    """
+    c0 = next((c for c, row in enumerate(g) if row[c]), None)
+    if c0 is None:
+        return None
+    row0 = g[c0]
+    p = row0[c0]
+    if any(x * p != ra[c0] * y for ra in g for x, y in zip(ra, row0)):
+        return None
+    return ([row0], p, [c0]) if p > 0 else ([[-x for x in row0]], -p, [c0])
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +430,8 @@ def realize_module(lam: Weight) -> ModuleRealization:
                         g[at + b] = [g[c][at + b] for c in range(at)] + [x // den for x in grow]
                     at += mod.block_dim[src_i]
 
-                red, den, pivots = linalg.rref(g)
+                rank_one = _rank_one_rref(g) if target_rank == 1 else None
+                red, den, pivots = rank_one or linalg.rref(g)
             if len(pivots) != target_rank:
                 raise InvariantError(f"Gram rank {len(pivots)} != Freudenthal multiplicity "
                                      f"{target_rank} at weight {f} of L({lam}) "
@@ -396,13 +446,15 @@ def realize_module(lam: Weight) -> ModuleRealization:
             # g = g[:, pivots] rref[:r] and gram[f] = g[pivots, pivots] is
             # nonsingular, so column c of the rref is candidate c expanded
             # over the chosen ones: these columns are the F blocks into f.
-            # E_i (F_j b') is column b' of M_ij: the E blocks out of f
+            # E_i (F_j b') is column b' of M_ij: the E blocks out of f, which
+            # are m[i] as it is when every candidate is chosen
             at = 0
             for i, src in srcs:
                 k = mod.block_dim[src]
                 mod.f_block[(i, src)] = linalg.lowest([r[at:at + k] for r in red], den)
                 nums, q = m[i]
-                mod.e_block[(i, f)] = linalg.lowest([[r[c] for c in pivots] for r in nums], q)
+                mod.e_block[(i, f)] = (m[i] if len(pivots) == len(cands) else
+                                       linalg.lowest([[r[c] for c in pivots] for r in nums], q))
                 at += k
 
     dim = weyl_dimension(lam)

@@ -1,7 +1,8 @@
 """Tensor-product multiplicities by three independent routes.
 
 ``tensor_multiplicity`` runs the classical alternating-character (Klimyk)
-sum and serves as the oracle. ``weight_space_criterion`` decides multiplicity-one
+sum, over the smaller factor, and serves as the oracle; it reads no
+realized module. ``weight_space_criterion`` decides multiplicity-one
 queries purely from two weight-space dimensions. ``rank_route_multiplicity``
 computes dim L(lam)[nu-mu] minus the rank of the subspace generated by the
 overshooting lowering powers F_i^{n_i + 1}, via exact matrices.
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import InvariantError
-from .highmod import all_weights, dominant_character, realize_module
+from .highmod import check_cap, dominant_character, realize_module, weyl_dimension
 from .rootsys import AlgebraId, Weight, _reduce_to_dominant, build_root_system
 
 
@@ -35,19 +36,25 @@ class TensorQuery:
 def tensor_decomposition(lam: Weight, mu: Weight) -> dict:
     """Multiplicity of each dominant nu in L(lam) (x) L(mu).
 
-    Klimyk sum over the weights of L(lam); contributions whose shifted
-    weight lands on a wall are dropped. Both weights must be dominant
-    integral; anything else is rejected with ValueError.
+    Klimyk sum over the weights of the factor with the smaller Weyl
+    dimension, L(lam) on a tie: L(lam) (x) L(mu) and L(mu) (x) L(lam) are
+    isomorphic, so either sum gives the same multiplicities. Contributions
+    whose shifted weight lands on a wall are dropped. The module cap is
+    checked on L(lam) alone, and only the summed factor's character is
+    built. Both weights must be dominant integral; anything else is
+    rejected with ValueError.
     """
     lam._check(mu)
     for w in (lam, mu):
         if not w.is_dominant_integral():
             raise ValueError(f"{w} is not dominant integral")
+    check_cap(weyl_dimension(lam), f"dim L({lam})")
+    small, big = (mu, lam) if weyl_dimension(mu) < weyl_dimension(lam) else (lam, mu)
     aid = lam.algebra
     out: dict = {}
-    mu_f = mu.fundamental
-    for sigma, m in all_weights(lam).items():
-        x = tuple(s + a + 1 for s, a in zip(sigma, mu_f))
+    big_f = big.fundamental
+    for sigma, m in dominant_character(small).weights.items():
+        x = tuple(s + a + 1 for s, a in zip(sigma, big_f))
         dom_f, sign, _ = _reduce_to_dominant(aid, x)
         if sign == 0:
             continue

@@ -1,15 +1,20 @@
-"""The saturated-diagram Freudenthal recursion that `dominant_character`
-replaced, kept as the reference for the tests.
+"""Two earlier forms of the Freudenthal recursion that `dominant_character`
+replaced, kept as references for the tests.
 
 `ref_dominant_character` walks every weight of L(lam) (a BFS over depth
 vectors t = lam - mu by simple roots), keeps the points whose dominant
 representative lies under lam, and runs the recursion over the dominant
 ones, reducing each alpha-string point to its dominant representative.
 `ref_all_weights` spreads those multiplicities over the Weyl orbits.
+
+`walk_dominant_character` runs over the dominant chain and the one orbit
+table as `dominant_character` does, but walks every alpha-string from the
+weight to its end, with no running sums: A1 L(n) costs O(n^2).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 from liefusion.rootsys import _reduce_to_dominant, build_root_system, weyl_orbit_fund
 
@@ -100,3 +105,58 @@ def ref_all_weights(aid, mults: dict) -> dict:
         for g in weyl_orbit_fund(aid, f):
             out[g] = m
     return out
+
+
+def walk_dominant_character(lam) -> tuple[dict, dict]:
+    """(dominant fund tuple -> multiplicity, every fund tuple -> multiplicity),
+    both in the order `dominant_character` fills them."""
+    aid = lam.algebra
+    rs = build_root_system(aid)
+    n = aid.rank
+    sgram = rs.gram6
+    lam_f = lam.fundamental
+    rho_ip = [sgram[i][i] // 2 for i in range(n)]
+    lam_ip = [lam_f[i] * rho_ip[i] for i in range(n)]
+    pos_data = []
+    for ac, alpha in zip(rs.positive_root_coords, rs.positive_roots):
+        galpha = [sum(sgram[i][j] * ac[j] for j in range(n)) for i in range(n)]
+        pos_data.append((alpha.fundamental, ac, galpha,
+                         sum(map(mul, ac, galpha)), sum(map(mul, ac, lam_ip))))
+
+    depth = {lam_f: (0,) * n}
+    frontier = [lam_f]
+    while frontier:
+        new = []
+        for f in frontier:
+            t = depth[f]
+            for af, ac, _, _, _ in pos_data:
+                g = tuple(map(sub, f, af))
+                if min(g) >= 0 and g not in depth:
+                    depth[g] = tuple(map(add, t, ac))
+                    new.append(g)
+        frontier = new
+    chain = sorted(depth, key=lambda f: (sum(depth[f]), [-x for x in depth[f]]))
+
+    mults = {lam_f: 1}
+    weights = dict.fromkeys(weyl_orbit_fund(aid, lam_f), 1)
+    for f in chain[1:]:
+        t = depth[f]
+        total = 0
+        for af, _, galpha, a_norm, a_lam in pos_data:
+            ip = a_lam - sum(map(mul, t, galpha))
+            nu = f
+            while True:
+                nu = tuple(map(add, nu, af))
+                m = weights.get(nu, 0)
+                if m == 0:
+                    break
+                ip += a_norm
+                total += m * ip
+        t_norm = sum(t[i] * sgram[i][j] * t[j] for i in range(n) for j in range(n))
+        t_lr = sum(t[i] * (lam_ip[i] + rho_ip[i]) for i in range(n))
+        val = Fraction(2 * total, 2 * t_lr - t_norm)
+        assert val.denominator == 1 and val >= 0
+        if val:
+            mults[f] = int(val)
+            weights.update(dict.fromkeys(weyl_orbit_fund(aid, f), int(val)))
+    return mults, weights

@@ -251,26 +251,63 @@ def _reference_family(space, alpha, cutoff):
     return fam
 
 
+def _ldl(g):
+    """G = L D L^T in Fractions: L unit lower triangular, D the diagonal."""
+    n = len(g)
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag = []
+    for j in range(n):
+        diag.append(g[j][j] - sum(low[j][k] ** 2 * diag[k] for k in range(j)))
+        for i in range(j + 1, n):
+            low[i][j] = (g[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))) / diag[j]
+    return low, diag
+
+
+def _unit_lower_inverse(low):
+    n = len(low)
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            inv[i][j] = -sum(low[i][k] * inv[k][j] for k in range(j, i))
+    return inv
+
+
+def _int_matrix(rows):
+    """A Fraction matrix as (an object array of ints, their common den)."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return np.array([[x.numerator * (den // x.denominator) for x in row] for row in rows],
+                    dtype=object), den
+
+
 @lru_cache(maxsize=None)
 def _h_basis_blocks(space, alpha, cutoff):
     """{(shift, level): float block} of E^-E^+(alpha) in orthonormal
     coordinates, built entirely in the monomial h-basis: the per-state
-    recursion's blocks, the reference Gram blocks and numpy's Cholesky
-    factors L, as L_tgt^T B L_src^{-T}."""
+    recursion's blocks B and the reference Gram blocks G = L D L^T, whose
+    Cholesky factors are L sqrt(D). L_tgt^T B L_src^{-T} is taken exactly
+    and scaled by sqrt(D_tgt) and sqrt(D_src)^{-1} only as floats, which
+    keeps the reference accurate on the ill-conditioned Grams of a skew
+    charge space (a float Cholesky of a level-5 Gram of condition 2e6 is
+    off by 5e-12)."""
     fk = _fock_space(space, cutoff)
     ref = _reference_family(space, alpha, cutoff)
     frames = {}
     for l, states in fk.levels.items():
-        g = np.array([[float(x) for x in row] for row in _reference_gram(space.gram, states)])
-        c = np.linalg.cholesky(g)
-        frames[l] = c, np.linalg.inv(c).T
+        low, diag = _ldl(_reference_gram(space.gram, states))
+        frames[l] = (_int_matrix(low), _int_matrix(_unit_lower_inverse(low)),
+                     np.sqrt([float(x) for x in diag]))
     out = {}
     for d in range(-cutoff, cutoff + 1):
         for l in range(max(0, -d), min(cutoff, cutoff - d) + 1):
+            ((lt, lt_den), _, sqrt_dt), (_, (ls_inv, ls_den), sqrt_ds) = frames[l + d], frames[l]
             blk = ref.get(d, {}).get(l)
-            b = (np.zeros((len(fk.levels[l + d]), len(fk.levels[l]))) if blk is None
-                 else np.array([[float(x) for x in row] for row in blk]))
-            out[d, l] = frames[l + d][0].T @ b @ frames[l][1]
+            if blk is None:
+                out[d, l] = np.zeros((len(lt), len(ls_inv)))
+                continue
+            b, b_den = _int_matrix(blk)
+            den = lt_den * b_den * ls_den
+            x = np.array([[v / den for v in row] for row in lt.T @ b @ ls_inv.T])
+            out[d, l] = sqrt_dt[:, None] * x / sqrt_ds
     return out
 
 

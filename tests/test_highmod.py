@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from character_reference import ref_all_weights, ref_dominant_character
+from character_reference import ref_all_weights, ref_dominant_character, walk_dominant_character
 from liefusion import linalg
 from liefusion.highmod import (
     CapExceeded,
@@ -163,6 +163,28 @@ def test_character_matches_saturated_diagram_reference():
         assert list(ch.mults.items()) == list(mults.items()), lam
         assert list(ch.weights.items()) == list(ref_all_weights(lam.algebra, mults).items()), lam
         assert ch.dim == dim == weyl_dimension(lam)
+        _assert_matches_string_walk(lam)
+
+
+def _assert_matches_string_walk(lam):
+    # the running string sums against the walk of every string to its end:
+    # the same tables, in the same key order
+    ch = dominant_character(lam)
+    mults, weights = walk_dominant_character(lam)
+    assert list(ch.mults.items()) == list(mults.items()), lam
+    assert list(ch.weights.items()) == list(weights.items()), lam
+
+
+def test_running_string_sums_match_the_string_walk():
+    # long alpha-strings: every A1 L(n) up to n = 400, and B2, C2 and G2
+    # weights far from the walls
+    lams = [W(AlgebraId("A", 1), [n]) for n in range(401)]
+    for label, fs in (("B2", ([12, 0], [0, 24], [6, 6], [3, 11])),
+                      ("C2", ([24, 0], [0, 12], [6, 6], [11, 3])),
+                      ("G2", ([9, 0], [0, 6], [4, 3]))):
+        lams += [W(AlgebraId.parse(label), f) for f in fs]
+    for lam in lams:
+        _assert_matches_string_walk(lam)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,6 +238,9 @@ def test_cap_errors(monkeypatch):
                     call()
             else:
                 call()
+        # Klimyk checks the cap on its first factor only, and sums over the
+        # smaller one: the trivial first factor lets any second one through
+        assert tensor_decomposition(zero, lam) == {tuple(f): 1}
 
 
 def check_generator_relations(mod):
@@ -515,8 +540,40 @@ def test_realize_module_matches_reference():
         for _, f in weights_under_cap(AlgebraId(s, n), cap)
     ]
     lams.append(W(AlgebraId("F", 4), [0, 0, 0, 1]))
-    for lam in lams:
+    # modules with many multiplicity-one weights of three or more candidates,
+    # where the build takes its rank-one step on a 3x3 or larger Gram
+    wide = [W(AlgebraId.parse(label), f) for label, f in
+            (("A3", [1, 0, 2]), ("B3", [1, 0, 1]), ("D4", [1, 0, 1, 0]))]
+    for lam in wide:
+        weights, counts = all_weights(lam), _candidate_counts(lam)
+        assert sum(weights[f] == 1 and nc >= 3 for f, nc in counts.items()) >= 10
+    for lam in lams + wide:
         _assert_matches_reference(lam)
+
+
+def _candidate_counts(lam):
+    """weight f -> the number of candidates F_i b at f in L(lam)."""
+    mod = realize_module(lam)
+    cartan = build_root_system(lam.algebra).cartan_matrix
+    return {f: sum(mod.block_dim.get(tuple(map(sum, zip(f, row))), 0) for row in cartan)
+            for f in mod.blocks[1:]}
+
+
+def test_rank_one_weights_run_no_elimination(monkeypatch):
+    # linalg.rref runs once per weight of two or more candidates and a
+    # multiplicity of two or more; a rank-one weight runs none
+    import liefusion.highmod as h
+
+    real = h.linalg.rref
+    for label, f in (("A3", [1, 0, 2]), ("B3", [1, 0, 1]), ("G2", [1, 1])):
+        lam = W(AlgebraId.parse(label), f)
+        weights, counts = all_weights(lam), _candidate_counts(lam)
+        calls = []
+        monkeypatch.setattr(h.linalg, "rref", lambda g: calls.append(g) or real(g))
+        h.realize_module.__wrapped__(lam)
+        monkeypatch.undo()
+        assert len(calls) == sum(weights[f] >= 2 and nc >= 2 for f, nc in counts.items())
+        assert len(calls) < sum(nc >= 2 for nc in counts.values())
 
 
 def _assert_matches_reference(lam):
@@ -665,6 +722,25 @@ def scalar_controls(build):
         h.all_weights = true_weights
 '''
 
+# The rank-one step at a two-candidate weight: claimed multiplicity 1 at the
+# zero weight of the A2 module L(1, 1), where the true multiplicity is 2. The
+# Gram's minors do not vanish, so the build falls through to the elimination,
+# which reports the true rank.
+RANK_ONE_CONTROL = """
+def rank_one_control(build):
+    true_weights = h.all_weights
+    try:
+        h.all_weights = lambda lam: {**true_weights(lam), (0, 0): 1}
+        build(Weight.from_fundamental(AlgebraId("A", 2), [1, 1]))
+    except InvariantError as exc:
+        print("raised:", exc)
+    finally:
+        h.all_weights = true_weights
+"""
+
+RANK_ONE_RAISED = ("raised: Gram rank 2 != Freudenthal multiplicity 1 at weight (0, 0) "
+                   "of L((1,1)) (2 candidates)")
+
 SCALAR_RAISED = [
     "raised: candidate Gram block of source (-3, 0) at weight (0, -2) of L((0,2)) "
     "is not integral",
@@ -697,6 +773,15 @@ def test_scalar_step_invariants_are_named(capsys):
     assert capsys.readouterr().out.splitlines() == SCALAR_RAISED
 
 
+def test_rank_one_step_sees_a_wrong_multiplicity(capsys):
+    import liefusion.highmod as h
+
+    ns = {}
+    exec(SCALAR_CONTROLS + RANK_ONE_CONTROL, ns)
+    ns["rank_one_control"](h.realize_module.__wrapped__)
+    assert capsys.readouterr().out.splitlines() == [RANK_ONE_RAISED]
+
+
 def test_gram_invariants_survive_optimize():
     # both build invariants, Gram integrality and Gram rank against the
     # Freudenthal multiplicity, raise a named error under python -O
@@ -704,7 +789,7 @@ def test_gram_invariants_survive_optimize():
     import subprocess
     import sys
 
-    script = SCALAR_CONTROLS + """
+    script = SCALAR_CONTROLS + RANK_ONE_CONTROL + """
 real = h.ModuleRealization
 h.ModuleRealization = perturbed("e_block", (0, (-3, 2)))
 try:
@@ -727,6 +812,7 @@ except InvariantError as exc:
     print("raised:", exc)
 h.all_weights = true_weights
 scalar_controls(h.realize_module.__wrapped__)
+rank_one_control(h.realize_module.__wrapped__)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -741,4 +827,5 @@ scalar_controls(h.realize_module.__wrapped__)
         "raised: Gram rank 2 != Freudenthal multiplicity 3 at weight (0, 0) of L((0,2)) "
         "(2 candidates)",
         *SCALAR_RAISED,
+        RANK_ONE_RAISED,
     ]

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -69,6 +70,43 @@ def test_dimension_conservation_property(pair):
     dec = tensor_decomposition(lam, mu)
     total = sum(m * weyl_dimension(W(lam.algebra, list(k))) for k, m in dec.items())
     assert total == weyl_dimension(lam) * weyl_dimension(mu)
+
+
+def ref_klimyk(lam, mu):
+    """Klimyk sum over the weights of the first factor, L(lam), always, with
+    its own reflection into the dominant chamber: sigma + mu + rho is
+    reflected by s_i while a coordinate i is negative, and dropped when it
+    ends on a wall."""
+    cartan = build_root_system(lam.algebra).cartan_matrix
+    out = {}
+    for sigma, m in all_weights(lam).items():
+        x, sign = tuple(s + a + 1 for s, a in zip(sigma, mu.fundamental)), 1
+        while min(x) < 0:
+            i = next(i for i, c in enumerate(x) if c < 0)
+            x, sign = tuple(a - x[i] * c for a, c in zip(x, cartan[i])), -sign
+        if min(x) > 0:
+            nu = tuple(a - 1 for a in x)
+            out[nu] = out.get(nu, 0) + sign * m
+    return {nu: m for nu, m in out.items() if m}
+
+
+def test_klimyk_matches_the_sum_over_the_first_factor():
+    # tensor_decomposition sums over the smaller factor; the reference always
+    # over the first. Both orders of every pair, so the first factor is the
+    # larger one in half of them, and the equal-dimension ties
+    ties = larger_first = 0
+    for label in ("A2", "B2", "C2", "G2", "A3"):
+        aid = AlgebraId.parse(label)
+        lams = [W(aid, f) for f in itertools.product(range(3), repeat=aid.rank)
+                if weyl_dimension(W(aid, f)) <= 64]
+        for lam, mu in itertools.product(lams, repeat=2):
+            if weyl_dimension(lam) * weyl_dimension(mu) > 1024:
+                continue
+            assert tensor_decomposition(lam, mu) == ref_klimyk(lam, mu), (lam, mu)
+            assert tensor_decomposition(mu, lam) == ref_klimyk(lam, mu), (mu, lam)
+            ties += lam != mu and weyl_dimension(lam) == weyl_dimension(mu)
+            larger_first += weyl_dimension(lam) > weyl_dimension(mu)
+    assert ties >= 10 and larger_first >= 100
 
 
 def test_symmetries():

@@ -270,3 +270,41 @@ def test_fusion_agreement_sees_an_oracle_off_by_one(monkeypatch):
     # which the perturbed oracle counts twice
     assert ", 1 disagreements; first: ('B2', 1, 'last', '(0,1)@1', '(0,0)@1', 1, 2)" \
         in claim.detail
+
+
+def test_g2_graph_sees_a_dropped_loop(monkeypatch):
+    # L(1,0) (x) L(1,0) without its L(1,0), as g2_tensor_graph sees it: the
+    # 7-dim node loses its loop, g2-tensor-graph FAILs on it, and no other
+    # claim of the reduced suite moves from its recorded report. The drop is
+    # scoped to the graph: level-saturation reads the same Klimyk query
+    # through tensor_multiplicity and would FAIL with it
+    import json
+    import pathlib
+
+    import liefusion.tensor as tensor
+    import liefusion.verify as verify
+
+    real, real_graph = tensor.tensor_decomposition, verify.g2_tensor_graph
+    g2 = AlgebraId("G", 2)
+
+    def drop_loop(lam, mu):
+        dec = dict(real(lam, mu))  # a copy: the oracle's cache stays clean
+        if (lam.algebra, lam.fundamental, mu.fundamental) == (g2, (1, 0), (1, 0)):
+            del dec[(1, 0)]
+        return dec
+
+    def graph_without_loop(height):
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "tensor_decomposition", drop_loop)
+            return real_graph(height)
+
+    monkeypatch.setattr(verify, "g2_tensor_graph", graph_without_loop)
+    got = json.loads(verify_full(seed=11, cap=16, cutoffs=(3, 4), levels=(1,)).to_json())
+    golden = pathlib.Path(__file__).with_name("reduced_suite_seed11.json")
+    want = json.loads(golden.read_text())
+    assert len(got["results"]) == len(want["results"])
+    moved = [(a, b) for a, b in zip(got["results"], want["results"]) if a != b]
+    assert [(a["claim"], a["status"], b["status"]) for a, b in moved] == [
+        ("g2-tensor-graph", "fail", "pass")]
+    assert moved[0][0]["detail"] == ("9 nodes, 19 edges; "
+                                     "first mismatch ((1, 0), (1, 0), False, True)")
