@@ -359,7 +359,6 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
 
 E8 = AlgebraId("E", 8)
 G2 = AlgebraId("G", 2)
-F4 = AlgebraId("F", 4)
 
 # node dictionary of the construction: generator labels 1..8 as in the
 # classical table, mapped onto the Bourbaki numbering of e8

@@ -34,7 +34,8 @@ kept as an int, scaled by n^m m! den(a_e)^m den(b_e)^k, so an entry is
 one int product over the modes, over a row denominator prod n^m m!
 den(a_e)^m of the target state and a column denominator prod den(b_e)^k
 of the source state. A block is built on demand per (level
-shift, source level) and held as (numerators, den) over one common den.
+shift, source level) as (numerators, den) over one common den, and
+only its reader holds it.
 
 Gram blocks. Distinct states are orthogonal, and the state
 prod u_e(-n)^c has squared norm g = prod (n d_e)^c c!, so a level's Gram
@@ -81,7 +82,7 @@ class ChargeSpace:
     u_e, so the rows are unit lower-triangular, and `norms[e]` = (u_e|u_e)
     is the e-th pivot. For a diagonal Gram the basis is the given one. A
     Gram that is not positive definite has a pivot <= 0 and is refused with
-    ValueError.
+    ValueError, as is a charge whose length is not the rank.
     """
 
     def __init__(self, gram):
@@ -109,6 +110,9 @@ class ChargeSpace:
         self.norms = tuple(norms)
 
     def pairing(self, a, b) -> Fraction:
+        if len(a) != self.rank or len(b) != self.rank:
+            raise ValueError(f"the charge space has rank {self.rank}, got charges "
+                             f"of length {len(a)} and {len(b)}")
         return sum(
             (Fraction(a[i]) * self.gram[i][j] * Fraction(b[j])
              for i in range(self.rank) for j in range(self.rank)),
@@ -194,7 +198,10 @@ class _ModeFamily:
     the sorted order of `_states`. A block over modes i, ... is therefore a
     grid of sub-blocks over modes i+1, ..., the (m, k) one scaled by the
     mode-i factor F(k, m), and each sub-block is built once and shared.
-    The blocks do not depend on a cutoff.
+    The blocks do not depend on a cutoff. The family keeps the factors,
+    the state denominators and the sub-blocks, which many blocks share; a
+    whole block is assembled anew on each call and held only by its
+    caller, since each reader reads it once.
     """
 
     def __init__(self, space: ChargeSpace, alpha):
@@ -208,7 +215,6 @@ class _ModeFamily:
         self._dens: dict = {}      # (i, level) -> [(row den, col den)] per state
         self._scales: dict = {}    # level -> (row scales, row lcm, col scales, col lcm)
         self._subs: dict = {}      # (i, src level, tgt level) -> int rows, i >= 1
-        self._blocks: dict = {}    # (shift, src level) -> (numerators, den)
 
     def _mode(self, i: int) -> tuple[int, int]:
         n, e = divmod(i, self.rank)
@@ -297,20 +303,16 @@ class _ModeFamily:
 
     def block(self, shift: int, level: int) -> tuple[list, int]:
         """(numerators, den) of the block from `level` to `level + shift`."""
-        key = (shift, level)
-        blk = self._blocks.get(key)
-        if blk is None:
-            rows = self._rows(0, level, level + shift)
-            rs, lr, _, _ = self._level_scales(level + shift)
-            _, _, cs, lc = self._level_scales(level)
-            if lc == 1:
-                nums = [[f * x for x in row] if f != 1 else row
-                        for f, row in zip(rs, rows)]
-            else:
-                nums = [[f * x * c for x, c in zip(row, cs)]
-                        for f, row in zip(rs, rows)]
-            blk = self._blocks[key] = (nums, lr * lc)
-        return blk
+        rows = self._rows(0, level, level + shift)
+        rs, lr, _, _ = self._level_scales(level + shift)
+        _, _, cs, lc = self._level_scales(level)
+        if lc == 1:
+            nums = [[f * x for x in row] if f != 1 else row
+                    for f, row in zip(rs, rows)]
+        else:
+            nums = [[f * x * c for x, c in zip(row, cs)]
+                    for f, row in zip(rs, rows)]
+        return nums, lr * lc
 
 
 @dataclass
@@ -506,6 +508,11 @@ def energy_bound_probe(space: ChargeSpace, alpha, order: int, cutoffs,
     FAIL is data, not an error. (1 + L0)^{-order} is the scalar
     (1 + l)^{-order} on source level l, so a mode's norm is the largest
     scaled block norm, 0 when no block lies within the cutoff.
+
+    Neither a block nor the norms of its states depend on the cutoff, so
+    each mode is built once, at the largest cutoff, and a cutoff c takes
+    the blocks whose source and target levels are both <= c: exactly the
+    blocks the mode has at cutoff c, with the same norms.
     """
     cutoffs = probe_cutoffs(cutoffs)
     if max_abs_mode < 0:
@@ -514,15 +521,15 @@ def energy_bound_probe(space: ChargeSpace, alpha, order: int, cutoffs,
         raise ValueError(f"slack must be finite and > 0, got {slack}")
     alpha = [Fraction(x) for x in alpha]
     mu = [ZERO] * space.rank
-    norms: dict = {}
-    for cut in cutoffs:
-        per: dict = {}
-        # from the vacuum sector (mu = 0) the mode grid is the integers
-        for s in range(-max_abs_mode, max_abs_mode + 1):
-            blocks = heisenberg_mode(space, alpha, mu, s, cut).float_matrix()
-            per[str(s)] = max(((1 + l) ** -order * _power_norm(b)
-                               for l, b in blocks.items()), default=0.0)
-        norms[cut] = per
+    norms: dict = {cut: {} for cut in cutoffs}
+    # from the vacuum sector (mu = 0) the mode grid is the integers
+    for s in range(-max_abs_mode, max_abs_mode + 1):
+        mm = heisenberg_mode(space, alpha, mu, s, cutoffs[-1])
+        scaled = [(max(l, l + mm.shift), (1 + l) ** -order * _power_norm(b))
+                  for l, b in mm.float_matrix().items()]
+        for cut in cutoffs:
+            norms[cut][str(s)] = max((x for reach, x in scaled if reach <= cut),
+                                     default=0.0)
     maxima = {cut: max(per.values()) for cut, per in norms.items()}
     verdict = "PASS"
     for lo, hi in zip(cutoffs, cutoffs[1:]):

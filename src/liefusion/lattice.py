@@ -68,6 +68,9 @@ class IntegralLattice:
         return all(type(x) is int or x.denominator == 1 for x in v)
 
     def dual_contains(self, v) -> bool:
+        if len(v) != self.rank:
+            raise ValueError(f"the lattice has rank {self.rank}, got a vector "
+                             f"of length {len(v)}")
         v, d = scaled_vector(v)
         return all(sum(map(mul, v, col)) % d == 0 for col in zip(*self.gram))
 

@@ -53,8 +53,6 @@ from .lattice import Cocycle, DualCocycle, IntegralLattice, lattice_fusion
 from .rootsys import AlgebraId, Weight, build_root_system, inner_product
 from .tensor import _criterion_core, _rank_route_core, g2_tensor_graph, tensor_decomposition
 
-ZERO = Fraction(0)
-
 SCHEMA = "liefusion/1"
 
 

@@ -141,6 +141,40 @@ def test_probe_gram_not_positive_definite_is_a_usage_error(tmp_path, capsys,
     assert "gram must be positive definite" in captured.err
 
 
+@pytest.mark.parametrize("gram, charge, error", [
+    (None, "1,5", "the charge space has rank 1, got charges of length 2 and 1"),
+    ("[[1, 0], [0, 1]]", "1", "the charge space has rank 2, got charges of length 1 and 2"),
+])
+def test_probe_charge_off_the_rank_is_a_usage_error(tmp_path, capsys, gram, charge, error):
+    # a longer charge used to be cut to the rank, a shorter one to die
+    # with an IndexError
+    if gram is None:
+        space = ["--norm", "1"]
+    else:
+        path = tmp_path / "gram.json"
+        path.write_text(gram)
+        space = ["--gram", str(path)]
+    code = main(["probe", "--charge", charge, *space, "--cutoffs", "3,4", "--modes", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert error in captured.err
+
+
+@pytest.mark.parametrize("charge, source, target", [
+    ("1/2,1/3", "1/2", "1"), ("1/2", "1/2,0", "1"), ("1/2", "1/2", "1,1"),
+])
+def test_lattice_fusion_vector_off_the_rank_is_a_usage_error(tmp_path, capsys,
+                                                             charge, source, target):
+    # a longer vector used to be cut to the rank, and the fusion answered
+    gram = tmp_path / "a1.json"
+    gram.write_text("[[2]]")
+    code = main(["lattice", "--gram", str(gram), "--op", "fusion",
+                 f"--charge={charge}", f"--source={source}", f"--target={target}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "the lattice has rank 1, got a vector of length 2" in captured.err
+
+
 def test_probe_mode_zero_alone(capsys):
     code, out = run(
         capsys, "probe", "--charge", "1", "--norm", "1",

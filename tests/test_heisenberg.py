@@ -321,7 +321,7 @@ def _assert_family_matches_reference(space, alpha, cutoff):
         blocks = oscillator_mode(space, alpha, d, cutoff)
         assert set(blocks) == {l for l in range(cutoff + 1) if 0 <= l + d <= cutoff}
         for l, blk in blocks.items():
-            assert blk is fam.block(d, l)
+            assert blk == fam.block(d, l)
             if diagonal:
                 # the orthogonal basis is the given one, so the blocks agree
                 # exactly; a block the recursion never touched is a zero block
@@ -575,6 +575,53 @@ def test_block_norms_match_dense_reference(gram, alpha, cutoffs, max_abs_mode):
                 assert math.isclose(norm, want[s], rel_tol=1e-12), (order, cut, s)
 
 
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("gram, alpha, cutoffs", [
+    ([[1]], (1,), (3, 5, 8)),
+    ([[2]], (1,), (3, 5, 8)),
+    ([[2, -1], [-1, 2]], (1, 0), (2, 4, 6)),
+])
+def test_probe_norms_match_a_probe_at_each_cutoff_alone(gram, alpha, cutoffs, order):
+    # the probe builds every mode at its largest cutoff and reads a smaller
+    # one's norms off those blocks; a probe at that cutoff alone builds the
+    # mode there, and the two agree float for float
+    space = ChargeSpace(gram)
+    rep = energy_bound_probe(space, alpha, order, cutoffs, max_abs_mode=6)
+    assert any(v == 0.0 for v in rep.norms[cutoffs[0]].values())
+    for cut in cutoffs:
+        alone = energy_bound_probe(space, alpha, order, (cut,), max_abs_mode=6)
+        assert list(rep.norms[cut].items()) == list(alone.norms[cut].items())
+        assert rep.maxima[cut] == alone.maxima[cut]
+
+
+def test_probe_builds_each_mode_once_at_the_top_cutoff(monkeypatch):
+    true_mode = heisenberg.heisenberg_mode
+    calls = []
+
+    def counted(space, alpha, mu, s, cutoff):
+        calls.append((s, cutoff))
+        return true_mode(space, alpha, mu, s, cutoff)
+
+    monkeypatch.setattr(heisenberg, "heisenberg_mode", counted)
+    energy_bound_probe(TWO, [1], 1, (5, 3, 4), max_abs_mode=3)
+    assert calls == [(s, 5) for s in range(-3, 4)]
+
+
+@pytest.mark.parametrize("norm", [1, 2, 3, 4])
+def test_vacuum_column_matches_the_closed_form(norm):
+    # ||Y_a(-n) vac||^2 = C(n + N - 2, N - 1) at charge norm (a|a) = N: the
+    # mode maps the vacuum to level n - 1, so at cutoff n - 1 its one block
+    # is the vacuum's column, read exactly against the diagonal Gram there
+    space = ChargeSpace([[norm]])
+    for n in range(1, 13):
+        mm = heisenberg_mode(space, [1], [0], -n, n - 1)
+        assert list(mm.blocks) == [0]
+        col, den = mm.blocks[0]
+        g, g_den = mm.space.gram_block(n - 1)
+        square = Fraction(sum(x * x * y for (x,), y in zip(col, g)), den * den * g_den)
+        assert square == math.comb(n + norm - 2, norm - 1), (norm, n)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"cutoffs": (), "max_abs_mode": 2},
     {"cutoffs": (-1, 4), "max_abs_mode": 2},
@@ -668,26 +715,69 @@ def test_braid_rejects_bad_configuration():
         braid_phase_check(UNIT, [1], [1], [1], 6, points=[(0.5, 1.0)])
 
 
-def test_braid_phase_claim_sees_a_raised_leading_coefficient(monkeypatch):
+def _heisenberg_claims():
+    """{claim id: (status, detail)} of `check_heisenberg` at small cutoffs.
+
+    At these cutoffs the order-1 energy trend has not settled and FAILs.
+    """
     import liefusion.verify as verify
 
-    true_coefficients = heisenberg._leading_coefficients
+    report = verify.VerificationReport("h")
+    verify.check_heisenberg(report, cutoffs=(2, 3), anti_cutoffs=(2,),
+                            phase_cutoff=4)
+    return {r.claim_id: (r.status, r.detail) for r in report.results}
 
-    def braid_claim():
-        report = verify.VerificationReport("h")
-        verify.check_heisenberg(report, cutoffs=(2, 3), anti_cutoffs=(2,),
-                                phase_cutoff=4)
-        return {r.claim_id: r.status for r in report.results}
+
+def test_braid_phase_claim_sees_a_raised_leading_coefficient(monkeypatch):
+    true_coefficients = heisenberg._leading_coefficients
 
     def raised(space, first, second, cutoff):
         cs = true_coefficients(space, first, second, cutoff)
         cs[1] += 1
         return cs
 
-    # only the braid-phase verdict reads the leading coefficients; at these
-    # small cutoffs the order-1 energy trend has not settled and FAILs
-    # either way
-    before = braid_claim()
-    assert before["braid-phase"] == "pass"
+    # only the braid-phase verdict reads the leading coefficients
+    before = _heisenberg_claims()
+    assert before["braid-phase"][0] == "pass"
     monkeypatch.setattr(heisenberg, "_leading_coefficients", raised)
-    assert braid_claim() == {**before, "braid-phase": "fail"}
+    after = _heisenberg_claims()
+    assert after.pop("braid-phase")[0] == "fail"
+    del before["braid-phase"]
+    assert after == before
+
+
+def test_anticommutator_claim_sees_a_perturbed_block(monkeypatch):
+    true_mode = heisenberg.oscillator_mode
+
+    def perturbed(space, alpha, n, cutoff):
+        blocks = true_mode(space, alpha, n, cutoff)
+        return _perturbed(blocks, 0) if n == 1 and space == UNIT else blocks
+
+    before = _heisenberg_claims()
+    assert before["anticommutator"] == ("pass", "cutoff 2: dev 0.00e+00")
+    assert before["energy-bound-order0"] == ("pass", "maxima {2: 1.0, 3: 1.0}")
+    monkeypatch.setattr(heisenberg, "oscillator_mode", perturbed)
+    # the order-0 probe of the unit charge reads the raised block too: its
+    # maxima double at every cutoff, so its trend still PASSes
+    assert _heisenberg_claims() == {
+        **before,
+        "anticommutator": ("fail", "cutoff 2: dev 3.00e+00"),
+        "energy-bound-order0": ("pass", "maxima {2: 2.0, 3: 2.0}"),
+    }
+
+
+def test_adjoint_phase_claim_sees_a_perturbed_block(monkeypatch):
+    true_mode = heisenberg.heisenberg_mode
+
+    def perturbed(space, alpha, mu, s, cutoff):
+        mm = true_mode(space, alpha, mu, s, cutoff)
+        # off the vacuum sector, which only the adjoint-phase check reads
+        if mm.shift == 1 and alpha[0] > 0 and any(mu):
+            mm.blocks = _perturbed(mm.blocks, 0)
+        return mm
+
+    before = _heisenberg_claims()
+    assert before["adjoint-phase"] == ("pass", "dev 0.00e+00, phase -1.000+0.000j")
+    monkeypatch.setattr(heisenberg, "heisenberg_mode", perturbed)
+    assert _heisenberg_claims() == {
+        **before, "adjoint-phase": ("fail", "dev 2.00e+00, phase -1.000+0.000j")}
