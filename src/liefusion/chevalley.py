@@ -6,6 +6,16 @@ the root lattice (the same sign engine as the lattice module). Root vectors
 have unit norm, the star swaps x_a with a signed x_(-a), and the invariant
 inner product is normalized so long roots have squared length 2.
 
+The signs are read from per-root integer tables built once per algebra (the
+negative, the Cartan pairings and two parity masks of each root; see
+`StructureAlgebra`), so `bracket` and `star` build no tuple but the sum of
+two roots and keep no table over pairs. Coefficients are ints: `x` and `h`
+hand out 1, and brackets, stars, sums and the Lie closures below stay in
+int arithmetic. A Fraction appears only where something divides: an
+eigenvalue (`_eigenvalue`), a normalized coroot (`coroot_normalized`), the
+embedding index (`dynkin_index`), and the restricted weights that
+`branch` builds from the normalized coroots.
+
 The second half constructs unitary subalgebras from explicit generators and
 culminates in the rank-8 tower: the two exceptional commuting subalgebras
 generated by Dynkin's raising elements, their recovered Cartan matrices,
@@ -19,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .errors import InvariantError, VerificationError
@@ -37,29 +47,52 @@ Element = dict  # ('h', i) | ('x', root tuple) -> rational (Fraction or int)
 SIMPLY_LACED = {"A", "D", "E"}
 
 
+def _bits(flags) -> int:
+    """The int with bit i set where the i-th flag is true."""
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
 class StructureAlgebra:
-    """A simply-laced simple Lie algebra with exact structure constants."""
+    """A simply-laced simple Lie algebra with exact structure constants.
+
+    The cocycle sign is read from per-root integer tables built once: for
+    each root r its negative, its Cartan pairings <r, alpha_i^vee>, the
+    parity mask of its coordinates, and the parity mask of the exponents
+    `sign_cocycle_exponent(e_i, r)` against the unit vectors e_i. The
+    exponent is bilinear, so eps(a, b) is the parity of the bits that the
+    mask of a and the unit-vector mask of b share; no table over pairs is
+    kept.
+    """
 
     def __init__(self, algebra: AlgebraId):
         if algebra.series not in SIMPLY_LACED:
             raise ValueError(f"{algebra} is not simply laced")
         self.algebra = algebra
         rs = build_root_system(algebra)
-        self.rank = algebra.rank
-        self.cartan = rs.cartan_matrix
+        self.rank = n = algebra.rank
+        self.cartan = cartan = rs.cartan_matrix
         self.roots = rs.root_coord_set
         self.positive_roots = rs.positive_root_coords
         self.dim = self.rank + len(self.roots)
+        units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        self._neg = {r: tuple(-c for c in r) for r in self.roots}
+        cols = list(zip(*cartan))
+        self._pairings = {r: tuple(sum(map(mul, r, col)) for col in cols) for r in self.roots}
+        self._mask = {r: _bits(c % 2 for c in r) for r in self.roots}
+        self._odd = {
+            r: _bits(sign_cocycle_exponent(cartan, e, r) % 2 for e in units)
+            for r in self.roots
+        }
 
     # -- basic constructors -------------------------------------------------
     def h(self, i: int) -> Element:
-        return {("h", i): ONE}
+        return {("h", i): 1}
 
     def x(self, root) -> Element:
         root = tuple(int(c) for c in root)
         if root not in self.roots:
             raise ValueError(f"{root} is not a root of {self.algebra}")
-        return {("x", root): ONE}
+        return {("x", root): 1}
 
     def basis_labels(self) -> list:
         return [("h", i) for i in range(self.rank)] + [
@@ -68,40 +101,39 @@ class StructureAlgebra:
 
     # -- structure constants -------------------------------------------------
     def eps(self, a, b) -> int:
-        s = sign_cocycle_exponent(self.cartan, a, b)
-        return -1 if s % 2 else 1
-
-    def _pairing(self, root, i) -> int:
-        return sum(root[k] * self.cartan[k][i] for k in range(self.rank))
+        """The cocycle sign of two roots: (-1)^sign_cocycle_exponent(a, b)."""
+        return -1 if (self._mask[a] & self._odd[b]).bit_count() & 1 else 1
 
     def bracket(self, u: Element, v: Element) -> Element:
         out: Element = {}
+        pairings, roots = self._pairings, self.roots
 
-        def add(lbl, c):
+        def put(lbl, c):
             if c:
-                out[lbl] = out.get(lbl, 0) + c
-                if not out[lbl]:
+                c += out.get(lbl, 0)
+                if c:
+                    out[lbl] = c
+                else:
                     del out[lbl]
 
         for la, ca in u.items():
+            ka, a = la  # a root, or the index of a simple coroot
             for lb, cb in v.items():
-                c = ca * cb
-                if la[0] == "h" and lb[0] == "h":
-                    continue
-                if la[0] == "h":
-                    add(lb, c * self._pairing(lb[1], la[1]))
-                elif lb[0] == "h":
-                    add(la, -c * self._pairing(la[1], lb[1]))
+                kb, b = lb
+                if ka == "h":
+                    if kb == "x":
+                        put(lb, ca * cb * pairings[b][a])
+                elif kb == "h":
+                    put(la, -ca * cb * pairings[a][b])
                 else:
-                    ra, rb = la[1], lb[1]
-                    s = tuple(x + y for x, y in zip(ra, rb))
-                    if not any(s):
-                        e = self.eps(ra, tuple(-x for x in ra))
-                        for i in range(self.rank):
-                            if ra[i]:
-                                add(("h", i), c * e * ra[i])
-                    elif s in self.roots:
-                        add(("x", s), c * self.eps(ra, rb))
+                    s = tuple(map(add, a, b))
+                    if s in roots:
+                        put(("x", s), ca * cb * self.eps(a, b))
+                    elif not any(s):
+                        c = ca * cb * self.eps(a, b)
+                        for i, ai in enumerate(a):
+                            if ai:
+                                put(("h", i), c * ai)
         return out
 
     def star(self, u: Element) -> Element:
@@ -111,11 +143,11 @@ class StructureAlgebra:
                 out[lbl] = out.get(lbl, 0) + c
             else:
                 r = lbl[1]
-                nr = tuple(-x for x in r)
+                nr = self._neg[r]
                 out[("x", nr)] = out.get(("x", nr), 0) + c * self.eps(r, nr)
         return out
 
-    def inner(self, u: Element, v: Element) -> Fraction:
+    def inner(self, u: Element, v: Element) -> int | Fraction:
         """Normalized invariant inner product (real rational elements)."""
         tot = 0
         for lbl, c in u.items():
@@ -235,26 +267,13 @@ class EmbeddedSubalgebra:
         scale = 2 / self.eigen_matrix[i][i]
         return {lbl: scale * c for lbl, c in self.cartan_images[i].items()}
 
-    def restrict_root_weight(self, root) -> tuple:
-        """Fundamental coordinates of an ambient root under this subalgebra."""
-        out = []
-        for i in range(len(self.generators)):
-            h = self.coroot_normalized(i)
-            val = sum(
-                (c * self.ambient._pairing(root, lbl[1])
-                 for lbl, c in h.items() if lbl[0] == "h"),
-                ZERO,
-            )
-            out.append(val)
-        return tuple(out)
-
 
 def _eigenvalue(alg: StructureAlgebra, h: Element, v: Element) -> Fraction:
     w = alg.bracket(h, v)
     if not w:
         return ZERO
     lbl = next(iter(v))
-    lam = w.get(lbl, ZERO) / v[lbl]
+    lam = Fraction(w.get(lbl, 0), v[lbl])
     chk = {l2: c * lam for l2, c in v.items() if c * lam}
     if chk != w:
         raise VerificationError(f"{v} is not an eigenvector of {h}")
@@ -298,25 +317,26 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
     """
     amb = sub.ambient
     weights: dict = {}
+    hs = [sub.coroot_normalized(i) for i in range(len(sub.generators))]
 
-    def addw(w, m=1):
+    def addw(fund, m=1):
+        # restrict an ambient weight, given by its fundamental coordinates,
+        # through the normalized coroot images
+        w = tuple(
+            sum((c * fund[lbl[1]] for lbl, c in h.items() if lbl[0] == "h"), ZERO)
+            for h in hs
+        )
         weights[w] = weights.get(w, 0) + m
 
     if module == "adjoint":
-        zero = tuple([ZERO] * len(sub.generators))
-        addw(zero, amb.rank)
+        addw([0] * amb.rank, amb.rank)
         for r in amb.roots:
-            addw(sub.restrict_root_weight(r))
+            addw(amb._pairings[r])  # a root's fundamental coordinates
         total = amb.dim
     else:
-        # restrict each weight through the normalized coroot images
-        hs = [sub.coroot_normalized(i) for i in range(len(sub.generators))]
         total = 0
         for fund, m in all_weights(module.highest_weight).items():
-            addw(tuple(
-                sum((c * fund[lbl[1]] for lbl, c in h.items() if lbl[0] == "h"), ZERO)
-                for h in hs
-            ), m)
+            addw(fund, m)
             total += m
 
     # det(C) times the height of a weight: the adjugate row sums are det
@@ -445,7 +465,7 @@ def dynkin_embedding_g2_f4() -> ExceptionalPair:
         a1 = {}
         for s, t in zip(signs, terms):
             for lbl, c in t.items():
-                a1[lbl] = a1.get(lbl, ZERO) + s * c
+                a1[lbl] = a1.get(lbl, 0) + s * c
         if commutes(a1):
             chosen = (signs, a1)
             break
@@ -499,7 +519,7 @@ def dynkin_embedding_g2_f4() -> ExceptionalPair:
 def _add(u: Element, v: Element, sv: int = 1) -> Element:
     out = dict(u)
     for lbl, c in v.items():
-        out[lbl] = out.get(lbl, ZERO) + sv * c
+        out[lbl] = out.get(lbl, 0) + sv * c
         if not out[lbl]:
             del out[lbl]
     return out

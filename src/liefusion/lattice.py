@@ -10,13 +10,16 @@ linalg's (numerators, den) pairs (1 for the Gram matrix and the commutator
 form, the square of the inverse Gram's den for the dual cocycle's exponent
 form). A rational vector is scaled to integers over the lcm of
 its denominators, so every pairing is an integer sum and one Fraction per
-result; lattice vectors with int coordinates need no scaling at all.
+result, reduced mod 2 in integers where it is a phase exponent; lattice
+vectors with int coordinates need no scaling at all. Every vector is checked
+against the rank first: a vector of another length is a ValueError, never
+cut or padded.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -61,16 +64,24 @@ class IntegralLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def pairing(self, a, b) -> Fraction:
-        return _bilinear(self.gram, 1, a, b)
-
-    def contains(self, v) -> bool:
-        return all(type(x) is int or x.denominator == 1 for x in v)
-
-    def dual_contains(self, v) -> bool:
-        if len(v) != self.rank:
+    def _check_rank(self, v) -> None:
+        """Raise ValueError unless v has one coordinate per basis vector."""
+        if len(v) != len(self.gram):
             raise ValueError(f"the lattice has rank {self.rank}, got a vector "
                              f"of length {len(v)}")
+
+    def pairing(self, a, b) -> Fraction:
+        return Fraction(*_bilinear(self, self.gram, a, b))
+
+    def contains(self, v) -> bool:
+        self._check_rank(v)
+        for x in v:
+            if type(x) is not int and x.denominator != 1:
+                return False
+        return True
+
+    def dual_contains(self, v) -> bool:
+        self._check_rank(v)
         v, d = scaled_vector(v)
         return all(sum(map(mul, v, col)) % d == 0 for col in zip(*self.gram))
 
@@ -100,10 +111,22 @@ class Cocycle:
     """Bimultiplicative +-1 cocycle on an even lattice.
 
     eps(e_i, e_j) = (-1)^{(e_i|e_j)} below the diagonal and 1 on or above
-    it; the commutator is then (-1)^{(a|b)} and eps(a, 0) = 1.
+    it; the commutator is then (-1)^{(a|b)} and eps(a, 0) = 1. The exponent
+    `sign_cocycle_exponent` is bilinear, so only its parities on pairs of
+    unit vectors matter: they are read from it once, and `value` sums
+    a_i b_j over the strictly-lower pairs (i, j) where the parity is odd.
     """
 
     lattice: IntegralLattice
+    _odd_below: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.lattice.rank
+        units = [[int(k == i) for k in range(n)] for i in range(n)]
+        object.__setattr__(self, "_odd_below", tuple(
+            (i, j) for i in range(n) for j in range(n)
+            if sign_cocycle_exponent(self.lattice.gram, units[i], units[j]) % 2
+        ))
 
     @property
     def basis_values(self) -> list[list[int]]:
@@ -120,8 +143,7 @@ class Cocycle:
     def value(self, a, b) -> int:
         if not (self.lattice.contains(a) and self.lattice.contains(b)):
             raise ValueError("cocycle arguments must be lattice vectors")
-        s = sign_cocycle_exponent(self.lattice.gram, [int(x) for x in a], [int(x) for x in b])
-        return -1 if s % 2 else 1
+        return -1 if sum(a[i] * b[j] for i, j in self._odd_below) % 2 else 1
 
     def commutator(self, a, b) -> int:
         return self.value(a, b) * self.value(b, a)
@@ -150,20 +172,29 @@ class DualCocycle:
 
     def exponent(self, x, y) -> Fraction:
         """t with eps(x, y) = e^{i pi t}, reduced mod 2."""
-        return _bilinear(self._w, self._w_den, x, y) % 2
+        t, d = _bilinear(self.lattice, self._w, x, y)
+        return _mod2(t, d * self._w_den)
 
     def value(self, x, y) -> complex:
         return phase_value(self.exponent(x, y))
 
     def commutator_exponent(self, x, y) -> Fraction:
-        return _bilinear(self._r, 1, x, y) % 2
+        return _mod2(*_bilinear(self.lattice, self._r, x, y))
 
 
-def _bilinear(m, den, x, y) -> Fraction:
-    """x (m / den) y^T for an integer matrix m and rational vectors x, y."""
+def _bilinear(lat: IntegralLattice, m, x, y) -> tuple[int, int]:
+    """(t, d) with x m y^T = t / d, for an integer matrix m and rational
+    vectors x, y of the lattice's rank."""
+    lat._check_rank(x)
+    lat._check_rank(y)
     x, dx = scaled_vector(x)
     y, dy = scaled_vector(y)
-    return Fraction(int_bilinear(m, x, y), den * dx * dy)
+    return int_bilinear(m, x, y), dx * dy
+
+
+def _mod2(t: int, d: int) -> Fraction:
+    """t / d reduced mod 2, for d > 0."""
+    return Fraction(t % (2 * d), d)
 
 
 def lattice_fusion(lat: IntegralLattice, lam0, mu0, nu0) -> int:
@@ -194,6 +225,7 @@ def intertwiner_phase_exponent(lat: IntegralLattice, eps: Cocycle | DualCocycle,
     mu0 = [Fraction(x) for x in mu0]
     if not (lat.dual_contains(lam) and lat.dual_contains(mu)):
         raise ValueError("charge and source must be dual-lattice vectors")
+    lat._check_rank(mu0)
     u = [a - b for a, b in zip(mu, mu0)]
     if not lat.contains(u):
         raise ValueError("source does not lie in the stated coset")

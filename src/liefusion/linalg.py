@@ -37,7 +37,10 @@ def transpose(a: list) -> list:
 
 def scaled_vector(v) -> tuple[list[int], int]:
     """(numerators, d) with v == numerators / d; all-int vectors pass as is."""
-    if all(type(x) is int for x in v):
+    for x in v:
+        if type(x) is not int:
+            break
+    else:
         return v, 1
     d = math.lcm(*{x.denominator for x in v})
     return [x.numerator * (d // x.denominator) for x in v], d

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -23,7 +24,9 @@ from liefusion.chevalley import (
     zero_weight_split_witness,
 )
 from liefusion.highmod import full_character
+from liefusion.lattice import sign_cocycle_exponent
 from liefusion.rootsys import AlgebraId, Weight
+from structure_reference import ref_bracket, ref_star
 
 
 def test_su2_relations():
@@ -249,3 +252,86 @@ def test_int_coefficients_match_fraction_coefficients(case):
     ip = alg.inner(u, v)
     assert type(ip) is int and ip == alg.inner(fu, fv)
     assert alg.inner(br, br) == alg.inner(alg.bracket(fu, fv), alg.bracket(fu, fv))
+
+
+# ---------------------------------------------------------------------------
+# the per-root tables against the structure constants they replaced
+
+
+def _items(d):
+    """A bracket or star result in key order, with the type of each coefficient."""
+    return [(lbl, c, type(c)) for lbl, c in d.items()]
+
+
+@pytest.mark.parametrize("aid", [AlgebraId("D", 4), AlgebraId("E", 8)], ids=str)
+def test_table_eps_matches_the_sign_engine_on_every_root_pair(aid):
+    alg = build_simply_laced(aid)
+    bad = [
+        (a, b) for a in alg.roots for b in alg.roots
+        if alg.eps(a, b) != (-1) ** (sign_cocycle_exponent(alg.cartan, a, b) % 2)
+    ]
+    assert not bad
+
+
+@pytest.mark.parametrize(
+    "aid", [AlgebraId("A", 3), AlgebraId("D", 4), AlgebraId("E", 6)], ids=str)
+def test_bracket_and_star_match_the_reference_on_every_basis_pair(aid):
+    alg = build_simply_laced(aid)
+    labels = alg.basis_labels()
+    for la in labels:
+        a = {la: 1}
+        assert _items(alg.star(a)) == _items(ref_star(alg, a))
+        for lb in labels:
+            b = {lb: 1}
+            assert _items(alg.bracket(a, b)) == _items(ref_bracket(alg, a, b))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_bracket_and_star_match_the_reference_on_e8_elements(kind):
+    alg = build_simply_laced(AlgebraId("E", 8))
+    labels = alg.basis_labels()
+    rng = random.Random(5)
+
+    def coefficient():
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        return c if kind == "int" else Fraction(c, rng.randint(1, 4))
+
+    def element():
+        return {lbl: coefficient() for lbl in rng.sample(labels, rng.randint(1, 40))}
+
+    nonzero = cancelled = 0
+    for _ in range(300):
+        u, v = element(), element()
+        got = alg.bracket(u, v)
+        assert _items(got) == _items(ref_bracket(alg, u, v))
+        assert _items(alg.star(u)) == _items(ref_star(alg, u))
+        nonzero += bool(got)
+        # a cancelled sum: some label of [u, v] is reached by more terms
+        # than the result keeps
+        cancelled += len(got) < len({
+            lbl for la in u for lb in v for lbl in alg.bracket({la: 1}, {lb: 1})})
+    assert nonzero > 250 and cancelled > 10
+
+
+# sha256 of every bracket of two basis elements and every star of one, on
+# the basis labels in order, recorded before the per-root tables replaced
+# the per-pair sign computation
+TABLE_SHA256 = {
+    AlgebraId("D", 4): "c143be1852d1984722c0e4f17a609aeddb4c7bc3df86af9f6c17a124d590df7c",
+    AlgebraId("E", 6): "06e82bb76adaddc694de8ff89b8083b100e88525e3731275de313a0235ff46e4",
+    AlgebraId("E", 8): "ec2bceef3896506ffdf077a091b3fc3a653e030e6038c2741e9a1968f8d61582",
+}
+
+
+@pytest.mark.parametrize("aid", list(TABLE_SHA256), ids=str)
+def test_structure_tables_match_their_recorded_hash(aid):
+    alg = build_simply_laced(aid)
+    labels = alg.basis_labels()
+    h = hashlib.sha256()
+    for la in labels:
+        star = sorted((lbl, str(c)) for lbl, c in alg.star({la: 1}).items())
+        h.update(repr((la, star)).encode())
+        for lb in labels:
+            out = sorted((lbl, str(c)) for lbl, c in alg.bracket({la: 1}, {lb: 1}).items())
+            h.update(repr((la, lb, out)).encode())
+    assert h.hexdigest() == TABLE_SHA256[aid]

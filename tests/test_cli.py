@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -269,6 +270,9 @@ def test_verify_e8_report(capsys):
     assert claims["adjoint-branching"]["status"] == "pass"
     anchors = [r["anchor"] for r in data["results"]]
     assert len(anchors) == len({r["claim"] for r in data["results"]})
+    # byte for byte the recorded report
+    golden = pathlib.Path(__file__).with_name("verify_e8_seed7.json")
+    assert out == golden.read_text()
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "", "1.5"])

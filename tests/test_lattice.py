@@ -16,6 +16,7 @@ from liefusion.lattice import (
     phase_value,
 )
 from liefusion.verify import random_even_lattice
+from structure_reference import ref_cocycle_value, ref_dual_exponent, ref_pairing
 
 
 def test_lattice_validation():
@@ -240,3 +241,67 @@ def test_membership_matches_fraction_formulas(case):
         )
         assert lat.dual_contains(half) == dual_ref
         assert lat.contains(half) == all(x.denominator == 1 for x in half)
+
+
+# ---------------------------------------------------------------------------
+# vectors off the rank, and the int paths against the generic ones
+
+
+_H = Fraction(1, 2)
+_A1 = IntegralLattice.from_rows([[2]])
+_OFF_RANK = {
+    "cocycle-second": lambda: Cocycle(_A1).value([1], [1, 5]),
+    "cocycle-first": lambda: Cocycle(_A1).value([1, 5], [1]),
+    "pairing-second": lambda: _A1.pairing([1], [1, 7]),
+    "pairing-first": lambda: _A1.pairing([1, 7], [1]),
+    "contains": lambda: _A1.contains([1, 7]),
+    "dual-exponent": lambda: DualCocycle(_A1).exponent([_H], [_H, 3]),
+    "dual-commutator": lambda: DualCocycle(_A1).commutator_exponent([_H, 3], [_H]),
+    "phase-mu0": lambda: intertwiner_phase_exponent(_A1, Cocycle(_A1), [_H], [_H], [_H, 5]),
+}
+
+
+@pytest.mark.parametrize("name", list(_OFF_RANK))
+def test_vector_off_the_rank_is_refused(name):
+    # each of these cut or ignored the extra entry: 1, 2, 0 and 0 for the
+    # cocycle, the pairing, the dual exponent and the phase
+    with pytest.raises(ValueError, match="the lattice has rank 1, got a vector of length 2"):
+        _OFF_RANK[name]()
+
+
+def test_cocycle_and_pairings_match_the_generic_path():
+    rng = random.Random(31)
+    refused = 0
+    for rank in range(1, 7):
+        for _ in range(4):
+            lat = random_even_lattice(rng, rank)
+            eps, dc = Cocycle(lat), DualCocycle(lat)
+            db = lat.dual_basis()
+
+            def lattice_vec():
+                return [rng.randint(-4, 4) for _ in range(rank)]
+
+            def dual_vec():
+                ks = lattice_vec()
+                return [sum((k * col[i] for k, col in zip(ks, db)), Fraction(0))
+                        for i in range(rank)]
+
+            for _ in range(60):
+                a, b = lattice_vec(), lattice_vec()
+                fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+                for x, y in ((a, b), (fa, fb), (a, fb), (fa, b)):
+                    assert eps.value(x, y) == ref_cocycle_value(lat, x, y)
+                x, y = dual_vec(), dual_vec()
+                for u, v in ((a, b), (fa, fb), (x, y), (a, y), (x, fb)):
+                    p = lat.pairing(u, v)
+                    assert type(p) is Fraction and p == ref_pairing(lat, u, v)
+                    e = dc.exponent(u, v)
+                    assert type(e) is Fraction and e == ref_dual_exponent(dc, u, v)
+                if not lat.contains(x):
+                    refused += 1
+                    for u, v in ((x, b), (a, x)):
+                        with pytest.raises(ValueError, match="lattice vectors"):
+                            eps.value(u, v)
+                        with pytest.raises(ValueError, match="lattice vectors"):
+                            ref_cocycle_value(lat, u, v)
+    assert refused > 500
