@@ -19,7 +19,9 @@ embedding index (`dynkin_index`), and the restricted weights that
 The second half constructs unitary subalgebras from explicit generators and
 culminates in the rank-8 tower: the two exceptional commuting subalgebras
 generated by Dynkin's raising elements, their recovered Cartan matrices,
-index computation, and branching of ambient modules.
+index computation, and branching of ambient modules. The tower's builder
+records the signs it chose; whether the pair it built is right is judged
+once, by the verification suite.
 """
 from __future__ import annotations
 
@@ -297,6 +299,9 @@ def dynkin_index(sub: EmbeddedSubalgebra) -> int:
                     # a_ji / a_ij = (beta_j|beta_j) / (beta_i|beta_i)
                     d[j] = d[i] * Fraction(a[j][i], a[i][j])
                     changed = True
+    if None in d:
+        raise ValueError(f"recovered Cartan matrix {a} has a disconnected Dynkin "
+                         "diagram: the index is defined for a simple subalgebra")
     longest = max(range(n), key=lambda i: d[i])
     h_norm = sub.coroot_normalized(longest)
     val = sub.ambient.inner(h_norm, h_norm) / 2
@@ -312,8 +317,9 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
     Weights are restricted through the normalized coroot images and the
     resulting multiset is peeled greedily from the highest weight using the
     subalgebra's own characters. Returns sub-dominant fundamental tuples ->
-    multiplicities. A residue that cannot be peeled, or a total dimension
-    that is not conserved, raises VerificationError.
+    multiplicities. A module of another algebra than the ambient one raises
+    ValueError. A residue that cannot be peeled, or a total dimension that
+    is not conserved, raises VerificationError.
     """
     amb = sub.ambient
     weights: dict = {}
@@ -334,6 +340,9 @@ def branch(sub: EmbeddedSubalgebra, sub_type: AlgebraId,
             addw(amb._pairings[r])  # a root's fundamental coordinates
         total = amb.dim
     else:
+        if module.highest_weight.algebra != amb.algebra:
+            raise ValueError(f"a {module.highest_weight.algebra} module is not a "
+                             f"module of the ambient {amb.algebra}")
         total = 0
         for fund, m in all_weights(module.highest_weight).items():
             addw(fund, m)
@@ -392,9 +401,6 @@ SHORT_ROOT_WORDS = (
     (4, 2, 3, 4, 5, 3, 7, 5, 8),
 )
 
-G2_CARTAN = [[2, -1], [-3, 2]]
-F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-
 
 def _translate(word) -> tuple:
     return tuple(NODE_TO_BOURBAKI[i] for i in word)
@@ -411,16 +417,6 @@ def construction_bracket(alg: StructureAlgebra, word) -> Element:
     return nested_bracket(alg, _translate(word))
 
 
-def _cartan_matches(mat, ref) -> bool:
-    n = len(ref)
-    if len(mat) != n:
-        return False
-    for p in itertools.permutations(range(n)):
-        if all(mat[p[i]][p[j]] == ref[i][j] for i in range(n) for j in range(n)):
-            return True
-    return False
-
-
 @dataclass
 class ExceptionalPair:
     ambient: StructureAlgebra
@@ -432,13 +428,16 @@ class ExceptionalPair:
 
 @lru_cache(maxsize=1)
 def dynkin_embedding_g2_f4() -> ExceptionalPair:
-    """Construct and verify the commuting g2 + f4 pair inside e8.
+    """Construct the commuting g2 + f4 pair inside e8.
 
     The f4 side is generated by {P3+P7, P4+P6, P5, P8}; the g2 side by P1
     and a signed three-term combination of nested brackets. The signs are
     convention-dependent, so the four assignments on the second and third
     summands are searched first (then all eight) for the one that commutes
     with the f4 generators; the chosen signs are recorded in the report.
+    The builder judges nothing else: the dimensions, recovered Cartan
+    matrices, commutation and joint span are claims of
+    `verify.check_exceptional_pair`.
     """
     alg = build_simply_laced(E8)
     P = {i: dynkin_raising(alg, i) for i in range(1, 9)}
@@ -472,48 +471,11 @@ def dynkin_embedding_g2_f4() -> ExceptionalPair:
     if chosen is None:
         raise VerificationError(
             "no sign assignment on the raising-word summands commutes with "
-            "the partner subalgebra", {"words": SHORT_ROOT_WORDS},
-        )
+            "the partner subalgebra")
     signs, a1 = chosen
-
     g2 = EmbeddedSubalgebra.generate(alg, [a1, P[1]])
     f4 = EmbeddedSubalgebra.generate(alg, b_gens)
-    report = {
-        "signs": signs,
-        "g2_dim": g2.dim,
-        "f4_dim": f4.dim,
-        "g2_cartan": g2.recovered_cartan(),
-        "f4_cartan": f4.recovered_cartan(),
-    }
-    problems = []
-    if g2.dim != 14:
-        problems.append(f"first factor has dim {g2.dim}, expected 14")
-    if f4.dim != 52:
-        problems.append(f"second factor has dim {f4.dim}, expected 52")
-    if g2.recovered_cartan() != G2_CARTAN:
-        problems.append(f"recovered rank-2 Cartan matrix {g2.recovered_cartan()}")
-    if not _cartan_matches(f4.recovered_cartan(), F4_CARTAN):
-        problems.append(f"recovered rank-4 Cartan matrix {f4.recovered_cartan()}")
-    for x in g2.span_basis:
-        for y in f4.span_basis:
-            if alg.bracket(x, y):
-                problems.append("factors fail to commute")
-                break
-        else:
-            continue
-        break
-    # joint span must be a direct sum of dimension 66
-    ech = linalg.Echelon()
-    for v in g2.span_basis + f4.span_basis:
-        ech.add(v)
-    joint = len(ech.rows)
-    report["joint_dim"] = joint
-    if joint != 66:
-        problems.append(f"joint span has dim {joint}, expected 66")
-    report["problems"] = problems
-    if problems:
-        raise VerificationError("; ".join(problems), report)
-    return ExceptionalPair(alg, g2, f4, signs, report)
+    return ExceptionalPair(alg, g2, f4, signs, {"signs": signs})
 
 
 def _add(u: Element, v: Element, sv: int = 1) -> Element:

@@ -2,17 +2,14 @@
 
 ``InvariantError`` is a ``VerificationError``, so the CLI maps both to exit
 code 1. Invariant checks raise it instead of using ``assert``, which
-``python -O`` strips.
+``python -O`` strips. Both carry only their message: where the verification
+suite catches one, the message is the FAIL's detail.
 """
 from __future__ import annotations
 
 
 class VerificationError(Exception):
-    """A structural verification failed; carries the detailed report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report or {}
+    """A structural verification failed; the message says what."""
 
 
 class InvariantError(VerificationError):

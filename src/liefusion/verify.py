@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .affine import (
     AffineWeight,
     FusionQuery,
@@ -85,6 +86,10 @@ class VerificationReport:
     def add_assumed(self, claim_id: str, anchor: str, detail: str):
         self.results.append(ClaimResult(claim_id, anchor, "assumed", detail))
 
+    def add_failed(self, claim_id: str, anchor: str, detail: str):
+        """A claim whose computation raised; the error is the detail."""
+        self.results.append(ClaimResult(claim_id, anchor, "fail", detail))
+
     @property
     def passed(self) -> bool:
         return all(r.status != "fail" for r in self.results)
@@ -119,27 +124,51 @@ def check_e8_construction(report: VerificationReport, seed: int = 7,
                alg.check_invariance(samples, rng), f"{samples} random basis triples")
 
 
+G2_CARTAN = [[2, -1], [-3, 2]]
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+def _cartan_matches(mat, ref) -> bool:
+    """mat equals ref up to a renumbering of the simple roots."""
+    n = len(ref)
+    if len(mat) != n:
+        return False
+    for p in itertools.permutations(range(n)):
+        if all(mat[p[i]][p[j]] == ref[i][j] for i in range(n) for j in range(n)):
+            return True
+    return False
+
+
 def check_exceptional_pair(report: VerificationReport):
+    """The one judge of the g2 + f4 pair: dims, Cartans, commuting direct sum."""
     try:
         pair = dynkin_embedding_g2_f4()
+        g2_cartan = pair.g2.recovered_cartan()
+        f4_cartan = pair.f4.recovered_cartan()
     except Exception as exc:  # verification failure carries the detail
-        report.add("embedding-build", "embedding:g2-f4-in-e8", False, str(exc))
+        report.add_failed("embedding-build", "embedding:g2-f4-in-e8", str(exc))
         return None
     report.add("embedding-dims", "embedding:dims-14-52",
                (pair.g2.dim, pair.f4.dim) == (14, 52),
                f"dims {(pair.g2.dim, pair.f4.dim)}, signs {pair.signs}")
-    report.add("embedding-cartans", "embedding:recovered-cartans", True,
-               f"g2 {pair.g2.recovered_cartan()}, f4 {pair.f4.recovered_cartan()}")
+    report.add("embedding-cartans", "embedding:recovered-cartans",
+               g2_cartan == G2_CARTAN and _cartan_matches(f4_cartan, F4_CARTAN),
+               f"g2 {g2_cartan}, f4 {f4_cartan}")
+    # the factors commute and their spans meet only in 0: a direct sum of 66
+    ech = linalg.Echelon()
+    for v in pair.g2.span_basis + pair.f4.span_basis:
+        ech.add(v)
+    joint = len(ech.rows)
+    commute = not any(pair.ambient.bracket(x, y)
+                      for x in pair.g2.span_basis for y in pair.f4.span_basis)
     report.add("embedding-joint-span", "embedding:direct-sum-66",
-               pair.report["joint_dim"] == 66, f"joint dim {pair.report['joint_dim']}")
+               joint == 66 and commute, f"joint dim {joint}")
     report.add("embedding-unit-generator", "embedding:long-generator-norm-1",
                pair.ambient.inner(pair.g2.generators[1], pair.g2.generators[1]) == 1)
     return pair
 
 
-def check_branch_and_index(report: VerificationReport, pair=None):
-    if pair is None:
-        pair = dynkin_embedding_g2_f4()
+def check_branch_and_index(report: VerificationReport, pair):
     dec = branch(pair.g2, AlgebraId("G", 2))
     expect = {(0, 0): 52, (1, 0): 26, (0, 1): 1}
     report.add("adjoint-branching", "branching:e8-adjoint-under-g2",
@@ -148,10 +177,11 @@ def check_branch_and_index(report: VerificationReport, pair=None):
     report.add("index-f4", "index:f4-in-e8", dynkin_index(pair.f4) == 1)
     try:
         wit = orthogonal_complement_witness()
-        report.add("complement-witness", "complement:bracket-witness", True,
-                   f"pairing {wit['pairing']}")
     except Exception as exc:
-        report.add("complement-witness", "complement:bracket-witness", False, str(exc))
+        report.add_failed("complement-witness", "complement:bracket-witness", str(exc))
+    else:
+        report.add("complement-witness", "complement:bracket-witness",
+                   wit["pairing"] != 0, f"pairing {wit['pairing']}")
     for n in (2, 3):
         _, sub = embed_so_odd(n)
         report.add(f"index-so{2*n+1}", "index:odd-orthogonal-in-even",

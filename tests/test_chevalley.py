@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liefusion import linalg
 from liefusion.chevalley import (
     EmbeddedSubalgebra,
     VerificationError,
@@ -106,8 +107,12 @@ def test_embedding_dims_cartans_commutation():
     assert pair.g2.dim == 14
     assert pair.f4.dim == 52
     assert pair.g2.recovered_cartan() == [[2, -1], [-3, 2]]
-    assert pair.report["joint_dim"] == 66
     amb = pair.ambient
+    # the joint span is a direct sum of dimension 66
+    labels = amb.basis_labels()
+    joint = [[v.get(lbl, 0) for lbl in labels]
+             for v in pair.g2.span_basis + pair.f4.span_basis]
+    assert linalg.rank(joint) == 66
     for x in pair.g2.span_basis:
         for y in pair.f4.span_basis:
             assert not amb.bracket(x, y)
@@ -185,6 +190,25 @@ def test_branch_of_characters_through_folding():
             tuple([1] + [0] * (n - 1)): 1,
             tuple([0] * n): 1,
         }
+
+
+def test_branch_refuses_a_module_of_another_algebra():
+    # the folded so_5 sits in D3: an A2 weight is too short to restrict, and
+    # A3, isomorphic to D3 but another labelling, peels to a negative residue
+    _, sub = embed_so_odd(2)
+    for aid in (AlgebraId("A", 2), AlgebraId("A", 3)):
+        ch = full_character(Weight.from_fundamental(aid, [1] + [0] * (aid.rank - 1)))
+        with pytest.raises(ValueError, match=rf"a {aid} module is not a module of the ambient D3"):
+            branch(sub, AlgebraId("B", 2), ch)
+
+
+def test_dynkin_index_refuses_a_disconnected_diagram():
+    # x(alpha_1) and x(alpha_3) of D4 generate A1 + A1, which has no one index
+    alg = build_simply_laced(AlgebraId("D", 4))
+    sub = EmbeddedSubalgebra.generate(alg, [alg.x((1, 0, 0, 0)), alg.x((0, 0, 1, 0))])
+    assert sub.recovered_cartan() == [[2, 0], [0, 2]]
+    with pytest.raises(ValueError, match=r"\[\[2, 0\], \[0, 2\]\] has a disconnected Dynkin"):
+        dynkin_index(sub)
 
 
 def test_complement_witness():

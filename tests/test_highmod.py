@@ -272,6 +272,7 @@ def check_generator_relations(mod):
     "aid,coords,dim",
     [
         (AlgebraId("A", 1), [1], 2),
+        (AlgebraId("A", 1), [2], 3),
         (AlgebraId("A", 2), [1, 1], 8),
         (AlgebraId("B", 2), [0, 1], 4),
         (AlgebraId("B", 3), [0, 0, 1], 8),
@@ -287,6 +288,18 @@ def test_realization_relations_exact(aid, coords, dim):
     mod = realize_module(W(aid, coords))
     assert mod.dim == dim
     check_generator_relations(mod)
+
+
+def test_generator_relations_see_a_wrong_e_block():
+    # every den of A1 L(2) is 1, so realize_module's own integrality check
+    # cannot see a wrong E-block; the relation [E, F] = H does
+    import copy
+
+    mod = copy.deepcopy(realize_module(W(AlgebraId("A", 1), [2])))  # the cache stays clean
+    assert mod.e_block[(0, (0,))] == ([[2]], 1)
+    mod.e_block[(0, (0,))] = ([[3]], 1)
+    with pytest.raises(AssertionError):
+        check_generator_relations(mod)
 
 
 def test_realization_gram_positive_definite_leading():

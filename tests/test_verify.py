@@ -186,6 +186,27 @@ def test_no_assert_guards_an_invariant():
     assert offenders == []
 
 
+def test_no_claim_passes_by_construction():
+    # a report.add whose verdict is a literal constant can never move; a
+    # computation that raised goes through report.add_failed instead
+    import ast
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "src" / "liefusion" / "verify.py"
+    calls, offenders = 0, []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "report"):
+            calls += 1
+            verdict = node.args[2] if len(node.args) > 2 else next(
+                k.value for k in node.keywords if k.arg == "ok")
+            if isinstance(verdict, ast.Constant):
+                offenders.append(f"verify.py:{node.lineno}")
+    assert calls > 20
+    assert offenders == []
+
+
 # -- negative controls: the three-route check must see a broken route --------
 
 
@@ -417,3 +438,84 @@ def test_cocycle_claim_sees_a_flipped_lower_parity(monkeypatch):
     got = claims()
     assert all(s == "pass" for s, _ in want.values())
     assert _moved(got, want) == [("cocycle-identities", "fail", "pass")]
+
+
+# -- negative controls: the embedding claims must see a wrong pair ------------
+
+
+def _pair_claims(monkeypatch, perturb):
+    """{claim: (status, detail)} of the e8 (100 triples, seed 7), embedding,
+    index and branching checks, verify reading the pair that perturb makes
+    of a deep copy of the built one; the unperturbed claims come second."""
+    import copy
+
+    import liefusion.verify as verify
+
+    real = verify.dynkin_embedding_g2_f4
+
+    def claims(build):
+        with monkeypatch.context() as m:
+            m.setattr(verify, "dynkin_embedding_g2_f4", build)
+            report = VerificationReport("e8")
+            verify.check_e8_construction(report, 7, 100)
+            pair = verify.check_exceptional_pair(report)
+            if pair is not None:
+                verify.check_branch_and_index(report, pair)
+        return {r.claim_id: (r.status, r.detail) for r in report.results}
+
+    def perturbed():
+        return perturb(copy.deepcopy(real()))  # the builder's cache stays clean
+
+    got, want = claims(perturbed), claims(real)
+    assert all(s == "pass" for s, _ in want.values())
+    return got, want
+
+
+def test_embedding_claims_see_a_dropped_span_vector(monkeypatch):
+    def drop(pair):
+        pair.f4.span_basis.pop()
+        return pair
+
+    got, want = _pair_claims(monkeypatch, drop)
+    assert _moved(got, want) == [("embedding-dims", "fail", "pass"),
+                                 ("embedding-joint-span", "fail", "pass")]
+    assert got["embedding-dims"][1].startswith("dims (14, 51), signs ")
+    assert got["embedding-joint-span"][1] == "joint dim 65"
+
+
+def test_embedding_cartans_claim_sees_a_scaled_eigenvalue(monkeypatch):
+    # the eigenvalue of the first coroot image on the second generator,
+    # doubled: the recovered g2 Cartan reads -6 where it reads -3
+    def scale(pair):
+        pair.g2.eigen_matrix[0][1] *= 2
+        return pair
+
+    got, want = _pair_claims(monkeypatch, scale)
+    assert _moved(got, want) == [("embedding-cartans", "fail", "pass")]
+    assert got["embedding-cartans"][1].startswith("g2 [[2, -1], [-6, 2]], f4 ")
+
+
+def test_embedding_joint_span_claim_sees_a_non_commuting_factor(monkeypatch):
+    # an f4 vector added to a g2 one: the joint span keeps its 66 dims, but
+    # the first factor no longer commutes with the second
+    from liefusion.chevalley import _add
+
+    def mix(pair):
+        pair.g2.span_basis[0] = _add(pair.g2.span_basis[0], pair.f4.span_basis[0])
+        return pair
+
+    got, want = _pair_claims(monkeypatch, mix)
+    assert _moved(got, want) == [("embedding-joint-span", "fail", "pass")]
+    assert got["embedding-joint-span"][1] == "joint dim 66"
+
+
+def test_embedding_build_failure_is_reported_alone(monkeypatch):
+    from liefusion.errors import VerificationError
+
+    def fail(pair):
+        raise VerificationError("a raising word evaluated to zero")
+
+    got, want = _pair_claims(monkeypatch, fail)
+    e8 = {c: v for c, v in want.items() if c.startswith("e8-")}
+    assert len(e8) == 4
+    assert got == {**e8, "embedding-build": ("fail", "a raising word evaluated to zero")}
