@@ -423,7 +423,6 @@ class ExceptionalPair:
     g2: EmbeddedSubalgebra
     f4: EmbeddedSubalgebra
     signs: tuple
-    report: dict
 
 
 @lru_cache(maxsize=1)
@@ -434,7 +433,7 @@ def dynkin_embedding_g2_f4() -> ExceptionalPair:
     and a signed three-term combination of nested brackets. The signs are
     convention-dependent, so the four assignments on the second and third
     summands are searched first (then all eight) for the one that commutes
-    with the f4 generators; the chosen signs are recorded in the report.
+    with the f4 generators; the chosen signs are kept as ``signs``.
     The builder judges nothing else: the dimensions, recovered Cartan
     matrices, commutation and joint span are claims of
     `verify.check_exceptional_pair`.
@@ -475,7 +474,7 @@ def dynkin_embedding_g2_f4() -> ExceptionalPair:
     signs, a1 = chosen
     g2 = EmbeddedSubalgebra.generate(alg, [a1, P[1]])
     f4 = EmbeddedSubalgebra.generate(alg, b_gens)
-    return ExceptionalPair(alg, g2, f4, signs, {"signs": signs})
+    return ExceptionalPair(alg, g2, f4, signs)
 
 
 def _add(u: Element, v: Element, sv: int = 1) -> Element:

@@ -34,13 +34,19 @@ and that entry's row, over the entry, is the rref: no elimination runs.
 Any other Gram goes through `linalg.rref`, so a wrong rank is still
 caught with the true one.
 
-A weight with one candidate (one source, of dimension 1; most weights,
-and every weight of A1) takes a scalar step instead: every block is 1x1,
-M_ii is one number num / den (the F-row at src + alpha_i times the E-column
-at src, plus src_i den), the Gram entry is gram[src] num / den under the
-same integrality check, and its rank, 1 or 0, is checked against the
-multiplicity; the F-block is [[1]]. No elimination runs, and the pairs,
-Gram entries and `parent` entries are those the matrix path gives.
+Where every source is one-dimensional, every block M_ij is 1x1 and is
+carried as one number num / den: the F-row at src_j + alpha_i times the
+E-column at src_j, plus delta_ij src_i[i] den. A weight with one candidate
+(one source, of dimension 1; most weights, and every weight of A1) takes a
+scalar step: its Gram entry is gram[src] num / den under the same
+integrality check, its rank, 1 or 0, is checked against the multiplicity,
+and the pairs are stored as they are, the E-block num / den reduced by one
+gcd and the F-block [[1]]; no elimination runs. A weight with two or more
+one-dimensional sources builds each row of M and each Gram entry
+gram[src_i] M_ij from those numbers, with no block product, and its Gram
+then goes through the rank-one test or `linalg.rref` as above. Either
+way the pairs, Gram entries and `parent` entries are those the matrix path
+gives.
 
 Every matrix here stays in linalg's (numerators, den) form: `full_matrix`
 returns one such pair, and `hom_space_basis` reads each Gram inverse as
@@ -336,7 +342,6 @@ def realize_module(lam: Weight) -> ModuleRealization:
     weights = all_weights(lam)
     aid = lam.algebra
     rs = build_root_system(aid)
-    n = aid.rank
     cartan = rs.cartan_matrix
 
     # depth of a weight = height of (lam - mu) in the root basis; the row
@@ -365,40 +370,78 @@ def realize_module(lam: Weight) -> ModuleRealization:
         return InvariantError(f"candidate Gram block of source {src} at weight "
                               f"{f} of L({lam}) is not integral")
 
+    def rank_error(rank, f, ncands):
+        return InvariantError(f"Gram rank {rank} != Freudenthal multiplicity "
+                              f"{weights[f]} at weight {f} of L({lam}) "
+                              f"({ncands} candidates)")
+
+    def m_entry(i, src_i, j, src_j):
+        # M_ij between one-dimensional blocks, as (num, den): the F-row at
+        # src_j + alpha_i times the E-column at src_j, plus delta_ij src_i[i]
+        e = mod.e_block.get((i, src_j))
+        if e:
+            (fnums, fden), (enums, den) = mod.f_block[(j, up(src_j, i))], e
+            den *= fden
+            num = sum(map(mul, fnums[0], [r[0] for r in enums]))
+        else:
+            num, den = 0, 1
+        return (num + src_i[i] * den, den) if i == j else (num, den)
+
     for d in sorted(by_depth):
         if d == 0:
             continue
         for f in sorted(by_depth[d]):
             # source blocks f + alpha_i; the candidates are F_i b over the
             # basis vectors b of each source, in source order
-            srcs = [(i, up(f, i)) for i in range(n)]
-            srcs = [(i, src) for i, src in srcs if src in mod.block_dim]
-            cands = [(i, b) for i, src in srcs for b in range(mod.block_dim[src])]
+            srcs = [(i, src) for i, row in enumerate(cartan)
+                    if (src := tuple(map(add, f, row))) in mod.block_dim]
             target_rank = weights[f]
 
-            if len(cands) == 1:
+            if len(srcs) == 1 and mod.block_dim[srcs[0][1]] == 1:
                 # one candidate F_i b: every block is 1x1. M_ii is the number
-                # num / den, the Gram block gram[src] num / den, and the rref
-                # of a 1x1 Gram is [[1]], or no row when the Gram is 0
+                # num / den, the Gram block gram[src] num / den, and its rank
+                # is 1, or 0 when that entry is 0; the F-block is [[1]]
                 (i, src), = srcs
-                e = mod.e_block.get((i, src))
-                if e:
-                    (fnums, fden), (enums, den) = mod.f_block[(i, up(src, i))], e
-                    den *= fden
-                    num = sum(map(mul, fnums[0], (r[0] for r in enums))) + src[i] * den
-                else:
-                    num, den = src[i], 1
+                num, den = m_entry(i, src, i, src)
                 x, rem = divmod(mod.gram[src][0][0] * num, den)
                 if rem:
                     raise not_integral(src, f)
-                m, g = {i: linalg.lowest([[num]], den)}, [[x]]
-                red, den, pivots = ([[1]], 1, [0]) if x else ([], 1, [])
+                rank = 1 if x else 0
+                if rank != target_rank:
+                    raise rank_error(rank, f, 1)
+                q = math.gcd(num, den)
+                mod.blocks.append(f)
+                mod.block_dim[f] = 1
+                mod.gram[f] = [[x]]
+                mod.parent[(f, 0)] = (i, 0)
+                mod.dim += 1
+                mod.f_block[(i, src)] = ([[1]], 1)
+                mod.e_block[(i, f)] = ([[num // q]], den // q)
+                continue
+
+            cands = [(i, b) for i, src in srcs for b in range(mod.block_dim[src])]
+            m = {}
+            if len(cands) == len(srcs):
+                # every source is one-dimensional: each M_ij is one number,
+                # m[i] is one row over the lcm of its dens, and the Gram entry
+                # gram[src_i] M_ij takes the same integrality check per source
+                g = [[0] * len(cands) for _ in cands]
+                for a, (i, src_i) in enumerate(srcs):
+                    row = [m_entry(i, src_i, j, src_j) for j, src_j in srcs]
+                    den = math.lcm(*(q for _, q in row))
+                    m[i] = linalg.lowest([[x * (den // q) for x, q in row]], den)
+                    (nums,), den = m[i]
+                    s = mod.gram[src_i][0][0]
+                    for b in range(a, len(cands)):
+                        x, rem = divmod(s * nums[b], den)
+                        if rem:
+                            raise not_integral(src_i, f)
+                        g[a][b] = g[b][a] = x
             else:
                 # m[i] is the row of blocks M_ij = F_j E_i + delta_ij <src_i, a_i^vee>
                 # over every source j, one (numerators, den) pair: the matrix
                 # of E_i on the candidates. By contravariance the candidate
                 # Gram block is <F_i b, F_j b'> = (gram[src_i] M_ij)[b][b']
-                m = {}
                 for i, src_i in srcs:
                     row = []
                     for j, src_j in srcs:
@@ -430,12 +473,10 @@ def realize_module(lam: Weight) -> ModuleRealization:
                         g[at + b] = [g[c][at + b] for c in range(at)] + [x // den for x in grow]
                     at += mod.block_dim[src_i]
 
-                rank_one = _rank_one_rref(g) if target_rank == 1 else None
-                red, den, pivots = rank_one or linalg.rref(g)
+            rank_one = _rank_one_rref(g) if target_rank == 1 else None
+            red, den, pivots = rank_one or linalg.rref(g)
             if len(pivots) != target_rank:
-                raise InvariantError(f"Gram rank {len(pivots)} != Freudenthal multiplicity "
-                                     f"{target_rank} at weight {f} of L({lam}) "
-                                     f"({len(cands)} candidates)")
+                raise rank_error(len(pivots), f, len(cands))
             mod.blocks.append(f)
             mod.block_dim[f] = target_rank
             mod.gram[f] = [[g[a][b] for b in pivots] for a in pivots]

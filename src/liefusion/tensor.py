@@ -2,10 +2,13 @@
 
 ``tensor_multiplicity`` runs the classical alternating-character (Klimyk)
 sum, over the smaller factor, and serves as the oracle; it reads no
-realized module. ``weight_space_criterion`` decides multiplicity-one
-queries purely from two weight-space dimensions. ``rank_route_multiplicity``
-computes dim L(lam)[nu-mu] minus the rank of the subspace generated by the
-overshooting lowering powers F_i^{n_i + 1}, via exact matrices.
+realized module. Both orders of a pair share that one sum and its cached
+table. ``weight_space_criterion`` decides multiplicity-one queries purely
+from two weight-space dimensions. ``rank_route_multiplicity`` computes
+dim L(lam)[nu-mu] minus the rank of the subspace generated by the
+overshooting lowering powers F_i^{n_i + 1}, via exact matrices; on a
+one-dimensional weight space that rank is 1 when any overshoot entry is
+nonzero, and no elimination runs.
 """
 from __future__ import annotations
 
@@ -38,23 +41,26 @@ def tensor_decomposition(lam: Weight, mu: Weight) -> dict:
 
     Klimyk sum over the weights of the factor with the smaller Weyl
     dimension, L(lam) on a tie: L(lam) (x) L(mu) and L(mu) (x) L(lam) are
-    isomorphic, so either sum gives the same multiplicities. Contributions
-    whose shifted weight lands on a wall are dropped. The module cap is
-    checked on L(lam) alone, and only the summed factor's character is
-    built. Both weights must be dominant integral; anything else is
-    rejected with ValueError.
+    isomorphic, so either sum gives the same multiplicities. When L(mu) is
+    the smaller factor, the table is the one of (mu, lam), whose sum is the
+    same: one sum, and one cached table, serves both orders of a pair.
+    Contributions whose shifted weight lands on a wall are dropped. The
+    module cap is checked on L(lam) alone, and only the summed factor's
+    character is built. Both weights must be dominant integral; anything
+    else is rejected with ValueError.
     """
     lam._check(mu)
     for w in (lam, mu):
         if not w.is_dominant_integral():
             raise ValueError(f"{w} is not dominant integral")
     check_cap(weyl_dimension(lam), f"dim L({lam})")
-    small, big = (mu, lam) if weyl_dimension(mu) < weyl_dimension(lam) else (lam, mu)
+    if weyl_dimension(mu) < weyl_dimension(lam):
+        return tensor_decomposition(mu, lam)
     aid = lam.algebra
     out: dict = {}
-    big_f = big.fundamental
-    for sigma, m in dominant_character(small).weights.items():
-        x = tuple(s + a + 1 for s, a in zip(sigma, big_f))
+    mu_f = mu.fundamental
+    for sigma, m in dominant_character(lam).weights.items():
+        x = tuple(s + a + 1 for s, a in zip(sigma, mu_f))
         dom_f, sign, _ = _reduce_to_dominant(aid, x)
         if sign == 0:
             continue
@@ -105,7 +111,9 @@ def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
     A chain starts from the numerators of the first F-block of F_i^power
     and multiplies in the numerators of each further one, dropping every
     denominator: that scales the product, which leaves its rank as it is.
-    A chain that leaves the module adds no columns.
+    A chain that leaves the module adds no columns. On a one-dimensional
+    weight space the rank is read off the entries, 1 when any is nonzero,
+    with no elimination.
     """
     if w_fund not in mod.block_dim:
         return 0
@@ -129,6 +137,9 @@ def _rank_route_core(mod, mu_fund: tuple, w_fund: tuple) -> int:
             block = linalg.matmul(mod.f_block[(i, f)], (block, 1))[0]
         else:
             cols.extend(zip(*block))
+    if base == 1:
+        # columns of length 1: their rank is 1 when any entry is nonzero
+        return 0 if any(c[0] for c in cols) else 1
     return base - linalg.rank(cols)
 
 

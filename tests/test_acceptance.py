@@ -9,8 +9,10 @@ import time
 import pytest
 
 from liefusion.chevalley import (
+    SHORT_ROOT_WORDS,
     branch,
     build_simply_laced,
+    construction_bracket,
     dynkin_embedding_g2_f4,
     dynkin_index,
     orthogonal_complement_witness,
@@ -69,7 +71,11 @@ def test_criterion_2_exceptional_embedding(exceptional_pair):
         for y in pair.f4.span_basis:
             if amb.bracket(x, y):
                 ok = False
-    ok = ok and pair.report["signs"] == pair.signs
+    signed = {}
+    for s, w in zip(pair.signs, SHORT_ROOT_WORDS):
+        for lbl, c in construction_bracket(amb, w).items():
+            signed[lbl] = signed.get(lbl, 0) + s * c
+    ok = ok and {lbl: c for lbl, c in signed.items() if c} == pair.g2.generators[0]
     elapsed = time.time() - t0 + pair.build_seconds
     ok = ok and elapsed <= 300
     report_line(2, "commuting exceptional pair", ok, elapsed)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from liefusion import linalg
 from liefusion.chevalley import (
+    SHORT_ROOT_WORDS,
     EmbeddedSubalgebra,
     VerificationError,
     branch,
@@ -126,7 +127,17 @@ def test_embedding_signs_recorded():
     assert pair.signs in {(1, s2, s3) for s2 in (1, -1) for s3 in (1, -1)} | {
         (-1, s2, s3) for s2 in (1, -1) for s3 in (1, -1)
     }
-    assert pair.report["signs"] == pair.signs
+    # the recorded signs rebuild the g2 raising generator from the short-root
+    # words
+    assert _signed_short_root_sum(pair) == pair.g2.generators[0]
+
+
+def _signed_short_root_sum(pair):
+    total = {}
+    for s, w in zip(pair.signs, SHORT_ROOT_WORDS):
+        for lbl, c in construction_bracket(pair.ambient, w).items():
+            total[lbl] = total.get(lbl, 0) + s * c
+    return {lbl: c for lbl, c in total.items() if c}
 
 
 def test_dynkin_indices_are_one():

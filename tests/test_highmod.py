@@ -600,6 +600,110 @@ def _assert_matches_reference(lam):
         assert view == getattr(want, field), (str(lam), field)
 
 
+def _build_steps(lam):
+    """weight f -> the step the build takes at f, from its source dims:
+    "scalar" (one source, of dimension 1), "ones" (two or more sources, all
+    of dimension 1) or "matrix" (a source of dimension 2 or more)."""
+    mod = realize_module(lam)
+    cartan = build_root_system(lam.algebra).cartan_matrix
+    steps = {}
+    for f in mod.blocks[1:]:
+        dims = [mod.block_dim[src] for src in (tuple(map(sum, zip(f, row))) for row in cartan)
+                if src in mod.block_dim]
+        steps[f] = "scalar" if dims == [1] else "ones" if set(dims) == {1} else "matrix"
+    return steps
+
+
+def test_generator_relations_hold_on_every_small_sweep_module():
+    # the relations and contravariance on every SWEEP_TYPES module up to
+    # dimension 24, where the build takes all three steps. In A1 every den
+    # is 1, so realize_module's own checks cannot see a wrong E-block there
+    from liefusion.verify import SWEEP_TYPES, weights_under_cap
+
+    lams = [W(AlgebraId(s, n), f) for s, n in SWEEP_TYPES
+            for _, f in weights_under_cap(AlgebraId(s, n), 24)]
+    assert len(lams) == 82
+    assert {s for lam in lams for s in _build_steps(lam).values()} == {"scalar", "ones", "matrix"}
+    for lam in lams:
+        check_generator_relations(realize_module(lam))
+
+
+@pytest.mark.parametrize("label, f", [
+    ("A2", [1, 1]), ("B2", [1, 1]), ("G2", [0, 1]), ("D4", [0, 1, 0, 0]),
+])
+def test_one_dimensional_sources_match_reference(label, f):
+    # weights whose two or more sources are all one-dimensional carry every
+    # block M_ij as one number; the blocks, Grams and parents are still the
+    # per-candidate reference's
+    lam = W(AlgebraId.parse(label), f)
+    steps = _build_steps(lam)
+    assert "ones" in steps.values() and "scalar" in steps.values()
+    _assert_matches_reference(lam)
+
+
+@pytest.mark.parametrize("label, f, weight, step, message", [
+    ("A2", [1, 1], (0, 0), "ones",
+     "Gram rank 2 != Freudenthal multiplicity 3 at weight (0, 0) of L((1,1)) (2 candidates)"),
+    ("D4", [0, 1, 0, 0], (-1, 1, -1, 1), "ones",
+     "Gram rank 1 != Freudenthal multiplicity 2 at weight (-1, 1, -1, 1) of L((0,1,0,0)) "
+     "(2 candidates)"),
+    ("G2", [0, 1], (1, 0), "scalar",
+     "Gram rank 1 != Freudenthal multiplicity 2 at weight (1, 0) of L((0,1)) (1 candidates)"),
+])
+def test_a_raised_multiplicity_is_seen_on_the_one_dimensional_steps(
+        monkeypatch, label, f, weight, step, message):
+    # one weight's multiplicity raised by 1: the build stops at that weight
+    # and reports the true Gram rank
+    import liefusion.highmod as h
+    from liefusion.errors import InvariantError
+
+    lam = W(AlgebraId.parse(label), f)
+    assert _build_steps(lam)[weight] == step
+    true_weights = h.all_weights
+    monkeypatch.setattr(h, "all_weights", lambda mu: {
+        **true_weights(mu), weight: true_weights(mu)[weight] + 1})
+    # __wrapped__ builds past the cache, so no cached module is touched
+    with pytest.raises(InvariantError) as exc:
+        h.realize_module.__wrapped__(lam)
+    assert str(exc.value) == message
+
+
+def test_gram_integrality_is_checked_on_one_dimensional_sources(monkeypatch):
+    # the F-block into (-3, 2) along alpha_2 of the A2 module L(2, 1), raised
+    # by one as it is stored, reaches the weight (-1, -2), whose two sources
+    # are one-dimensional: its Gram entry no longer divides back to an integer
+    import liefusion.highmod as h
+    from liefusion.errors import InvariantError
+
+    lam = W(AlgebraId("A", 2), [2, 1])
+    assert _build_steps(lam)[(-1, -2)] == "ones"
+    ns = {}
+    exec(PERTURBED, ns)
+    monkeypatch.setattr(h, "ModuleRealization", ns["perturbed"]("f_block", (1, (-3, 2))))
+    with pytest.raises(InvariantError, match=r"candidate Gram block of source \(-2, 0\) "
+                       r"at weight \(-1, -2\) of L\(\(2,1\)\) is not integral"):
+        h.realize_module.__wrapped__(lam)
+
+
+@pytest.mark.parametrize("label, f, step", [("A1", [1], "scalar"), ("A2", [1, 1], "ones")])
+def test_weyl_dimension_check_follows_each_step(monkeypatch, label, f, step):
+    # the lowest weight left out of the weight table: the build ends one
+    # basis vector short, whichever step the lowest weight takes
+    import liefusion.highmod as h
+    from liefusion.errors import InvariantError
+
+    lam = W(AlgebraId.parse(label), f)
+    lowest = realize_module(lam).blocks[-1]
+    assert _build_steps(lam)[lowest] == step
+    true_weights = h.all_weights
+    monkeypatch.setattr(h, "all_weights", lambda mu: {
+        w: m for w, m in true_weights(mu).items() if w != lowest})
+    dim = weyl_dimension(lam)
+    with pytest.raises(InvariantError) as exc:
+        h.realize_module.__wrapped__(lam)
+    assert str(exc.value) == f"realized dimension {dim - 1} of L({lam}) != Weyl formula {dim}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(dominant_weights())
 def test_realized_blocks_are_integral_and_canonical(lam):

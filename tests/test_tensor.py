@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import random
 
@@ -107,6 +108,34 @@ def test_klimyk_matches_the_sum_over_the_first_factor():
             ties += lam != mu and weyl_dimension(lam) == weyl_dimension(mu)
             larger_first += weyl_dimension(lam) > weyl_dimension(mu)
     assert ties >= 10 and larger_first >= 100
+
+
+# sha256 of every Klimyk table the cap-512 sweep reads, pair by pair in
+# sweep order, each as its list of (nu, multiplicity) items in key order
+KLIMYK_CAP_512_SHA256 = "333cc041c73b6278b18efdcd70e75e5e327413a5f8c9e5bc03bb824435809505"
+
+
+def test_klimyk_tables_at_cap_512_are_pinned():
+    # both orders of a pair share one sum over the smaller factor: the tables
+    # are equal, one object when the dimensions differ, and hash, in key
+    # order, to the pinned tables of one sum per order
+    from liefusion.verify import SWEEP_TYPES, weights_under_cap
+
+    h, n = hashlib.sha256(), 0
+    for s, r in SWEEP_TYPES:
+        aid = AlgebraId(s, r)
+        ws = weights_under_cap(aid, 512)
+        for d1, f1 in ws:
+            for d2, f2 in ws:
+                if d1 * d2 > 512:
+                    continue
+                dec = tensor_decomposition(W(aid, f1), W(aid, f2))
+                swapped = tensor_decomposition(W(aid, f2), W(aid, f1))
+                assert dec == swapped and (dec is swapped) == (d1 != d2 or f1 == f2)
+                h.update(repr(list(dec.items())).encode())
+                n += 1
+    assert n == 5478
+    assert h.hexdigest() == KLIMYK_CAP_512_SHA256
 
 
 def test_symmetries():
@@ -242,13 +271,45 @@ def test_rank_route_chain_length_matches_dense_powers():
     query = q(b2, [2, 0], [0, 1], [0, 1])
     assert tensor_multiplicity(query) == 0
     assert rank_route_multiplicity(query) == 0
+    # A1 L(7) has only one-dimensional weight spaces, where the route reads
+    # the rank off the entries; the D4 adjoint has a four-dimensional one
+    bases = set()
     for label, lam_f, mu_f in (("B2", (2, 0), (0, 1)), ("A2", (2, 2), (2, 0)),
-                               ("B2", (1, 2), (0, 2)), ("G2", (1, 1), (2, 0))):
+                               ("B2", (1, 2), (0, 2)), ("G2", (1, 1), (2, 0)),
+                               ("A1", (7,), (2,)), ("D4", (0, 1, 0, 0), (1, 0, 1, 1))):
         aid = AlgebraId.parse(label)
         mod = realize_module(W(aid, lam_f))
         want = _dense_rank_route(mod, mu_f, {})
         got = {w: _rank_route_core(mod, mu_f, w) for w in mod.block_dim}
         assert got == want, label
+        bases |= {(mod.block_dim[w] > 1, m > 0) for w, m in got.items()}
+    # both readings, on one-dimensional and on larger weight spaces
+    assert bases == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_rank_route_reads_entries_on_a_one_dimensional_weight():
+    # at the weight (0, 2) of B2 L(2, 0) the one overshoot column, F_1 on the
+    # one-dimensional block (2, 0), is nonzero and the route reads 0. With
+    # that F-block zeroed on a copy, the same shapes give a zero column, and
+    # the route reads 1
+    lam, mu = W(AlgebraId("B", 2), [2, 0]), (0, 1)
+    mod = realize_module(lam)
+    w, key = (0, 2), (0, (2, 0))
+    assert mod.block_dim[w] == mod.block_dim[key[1]] == 1
+    assert [k for k in mod.f_block if k[1] in _overshoot_starts(mod, mu, w)] == [key]
+    assert _rank_route_core(mod, mu, w) == 0
+    zeroed = copy.copy(mod)
+    zeroed.f_block = dict(mod.f_block)
+    nums, den = mod.f_block[key]
+    zeroed.f_block[key] = ([[0] * len(r) for r in nums], den)
+    assert _rank_route_core(zeroed, mu, w) == 1
+
+
+def _overshoot_starts(mod, mu_fund, w):
+    """The blocks w + (mu_i + 1) alpha_i of the module, over every i."""
+    cartan = build_root_system(mod.algebra).cartan_matrix
+    starts = (tuple(x + (m + 1) * c for x, c in zip(w, row)) for m, row in zip(mu_fund, cartan))
+    return [f for f in starts if f in mod.block_dim]
 
 
 def test_g2_graph_structure():
