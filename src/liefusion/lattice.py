@@ -1,4 +1,4 @@
-"""Even lattices, 2-cocycles, lattice fusion, and intertwiner phases.
+"""Even lattices, 2-cocycles and their phases, and lattice fusion.
 
 Lattice vectors are coordinate vectors over a fixed basis of the lattice;
 integer coordinates mean lattice membership, and dual-lattice vectors have
@@ -204,30 +204,3 @@ def lattice_fusion(lat: IntegralLattice, lam0, mu0, nu0) -> int:
             raise ValueError(f"{v} is not a dual-lattice vector")
     diff = [Fraction(a) - Fraction(b) - Fraction(c) for a, b, c in zip(nu0, lam0, mu0)]
     return 1 if lat.contains(diff) else 0
-
-
-def intertwiner_phase(lat: IntegralLattice, eps: Cocycle | DualCocycle,
-                      lam, mu, mu0) -> complex:
-    """The structure phase kappa(lam, mu) of the coset intertwiner.
-
-    kappa(lam, mu) = eps(lam, mu) * omega(mu - mu0, lam) * e^{i pi (mu-mu0|lam)}
-    where omega is the commutator of eps. Requires mu - mu0 in the lattice.
-    """
-    return phase_value(intertwiner_phase_exponent(lat, eps, lam, mu, mu0))
-
-
-def intertwiner_phase_exponent(lat: IntegralLattice, eps: Cocycle | DualCocycle,
-                               lam, mu, mu0) -> Fraction:
-    if isinstance(eps, Cocycle):
-        eps = DualCocycle(eps.lattice)
-    lam = [Fraction(x) for x in lam]
-    mu = [Fraction(x) for x in mu]
-    mu0 = [Fraction(x) for x in mu0]
-    if not (lat.dual_contains(lam) and lat.dual_contains(mu)):
-        raise ValueError("charge and source must be dual-lattice vectors")
-    lat._check_rank(mu0)
-    u = [a - b for a, b in zip(mu, mu0)]
-    if not lat.contains(u):
-        raise ValueError("source does not lie in the stated coset")
-    t = eps.exponent(lam, mu) + eps.commutator_exponent(u, lam) + lat.pairing(u, lam)
-    return t % 2

@@ -8,8 +8,11 @@ than reproves.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -217,39 +220,73 @@ def weights_under_cap(aid: AlgebraId, max_dim: int) -> list:
     return sorted(out)
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause CPython's cyclic collector for the block, then restore its state.
+
+    The tensor sweep allocates millions of containers and makes no reference
+    cycles: every collection its allocations trigger walks the growing
+    module, character and Klimyk caches and finds no garbage. A collector
+    that was off on entry stays off; one that was on is turned on again even
+    when the block raises.
+
+    Before it is turned on, every tracked object is moved to the oldest
+    generation (``gc.freeze()`` then ``gc.unfreeze()``, two list splices;
+    nothing stays frozen). Otherwise the first allocation after the block
+    starts a young-generation pass over all that the sweep left in the
+    caches, and the passes after it walk them again, so the rest of the run
+    pays what the pause saved. Where objects were frozen before, the
+    unfreeze would thaw them too, so they are left alone and the young
+    pass runs.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        gc.enable()
+
+
 def check_tensor_triple_agreement(report: VerificationReport, cap: int = 512,
                                   types=SWEEP_TYPES):
     """Exhaustive oracle/rank/criterion agreement under the product cap.
 
     cap is the sweep size: every pair of modules with d1 d2 <= cap. Each
-    module must also fit the module cap (``highmod.check_cap``).
+    module must also fit the module cap (``highmod.check_cap``). The sweep
+    runs with the cyclic collector paused (``_collector_paused``).
     """
     total = 0
     bad = []
-    for s, n in types:
-        aid = AlgebraId(s, n)
-        ws = weights_under_cap(aid, cap)
-        for d1, f1 in ws:
-            lam = Weight.from_fundamental(aid, f1)
-            mod = realize_module(lam)
-            wts = list(all_weights(lam))
-            for d2, f2 in ws:
-                if d1 * d2 > cap:
-                    continue
-                dec = tensor_decomposition(lam, Weight.from_fundamental(aid, f2))
-                for sig in wts:
-                    nuf = tuple(a + b for a, b in zip(sig, f2))
-                    if any(x < 0 for x in nuf):
+    with _collector_paused():
+        for s, n in types:
+            aid = AlgebraId(s, n)
+            ws = weights_under_cap(aid, cap)
+            for d1, f1 in ws:
+                lam = Weight.from_fundamental(aid, f1)
+                mod = realize_module(lam)
+                wts = list(all_weights(lam))
+                for d2, f2 in ws:
+                    if d1 * d2 > cap:
                         continue
-                    t = dec.get(nuf, 0)
-                    wf = tuple(a - b for a, b in zip(nuf, f2))
-                    p = _rank_route_core(mod, f2, wf)
-                    if t != p:
-                        bad.append((str(aid), f1, f2, nuf, "rank", t, p))
-                    c = _criterion_core(lam, wf, f2)
-                    if c is not None and c != t:
-                        bad.append((str(aid), f1, f2, nuf, "criterion", t, c))
-                    total += 1
+                    dec = tensor_decomposition(lam, Weight.from_fundamental(aid, f2))
+                    for sig in wts:
+                        nuf = tuple(map(operator.add, sig, f2))
+                        if min(nuf) < 0:
+                            continue
+                        t = dec.get(nuf, 0)
+                        # sig = nu - mu, the weight of L(lam) the routes ask for
+                        p = _rank_route_core(mod, f2, sig)
+                        if t != p:
+                            bad.append((str(aid), f1, f2, nuf, "rank", t, p))
+                        c = _criterion_core(lam, sig, f2)
+                        if c is not None and c != t:
+                            bad.append((str(aid), f1, f2, nuf, "criterion", t, c))
+                        total += 1
     report.add("tensor-triple-agreement", "tensor:three-route-agreement",
                not bad, f"{total} queries, {len(bad)} disagreements"
                + (f"; first: {bad[0]}" if bad else ""))

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liefusion import linalg
+from lattice_phase import intertwiner_phase, intertwiner_phase_exponent
 from rational_view import frac_matmul, rational
 from liefusion.lattice import (
     Cocycle,
     DualCocycle,
     IntegralLattice,
-    intertwiner_phase,
-    intertwiner_phase_exponent,
     lattice_fusion,
     phase_value,
 )

@@ -1,4 +1,5 @@
 """Cross-route oracles and report invariants."""
+import gc
 import itertools
 from fractions import Fraction
 
@@ -264,6 +265,107 @@ def test_tensor_agreement_sees_a_perturbed_f_block(monkeypatch):
     assert "first: ('A1', (2,), (0,), (0,), 'rank', 0, 1)" in claim.detail
 
 
+# -- the tensor sweep runs with the cyclic collector paused -------------------
+
+
+def _cold_sweep(cap=64):
+    """One sweep at cap from empty module, character and Klimyk caches."""
+    from liefusion.highmod import realize_module
+    from liefusion.tensor import tensor_decomposition
+
+    for cached in (realize_module, dominant_character, tensor_decomposition):
+        cached.cache_clear()
+    return _tensor_claim(cap)
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the collector back as it was before the test, whatever the test
+    left it in."""
+    was = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_sweep_leaves_the_collector_as_it_found_it(collector_state):
+    gc.enable()
+    assert _tensor_claim().status == "pass"
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0  # the promotion leaves nothing frozen
+    gc.disable()
+    assert _tensor_claim().status == "pass"
+    assert not gc.isenabled()
+
+
+def test_sweep_leaves_frozen_objects_frozen(collector_state):
+    # the promotion's unfreeze would thaw what the caller froze, so with
+    # frozen objects about, the sweep leaves the generations alone
+    _tensor_claim()  # warm: the sweep below frees nothing that is frozen
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert _tensor_claim().status == "pass"
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
+def test_sweep_that_raises_turns_the_collector_on_again(monkeypatch, collector_state):
+    import liefusion.verify as verify
+    from liefusion.errors import InvariantError
+
+    real = verify.realize_module
+    b2 = AlgebraId("B", 2)
+
+    def raising(lam):
+        if (lam.algebra, lam.fundamental) == (b2, (0, 1)):
+            raise InvariantError("Gram rank 1 != Freudenthal multiplicity 2")
+        return real(lam)
+
+    monkeypatch.setattr(verify, "realize_module", raising)
+    gc.enable()
+    with pytest.raises(InvariantError, match="Gram rank 1"):
+        _tensor_claim()
+    assert gc.isenabled()
+
+
+def test_sweep_runs_no_collection(collector_state):
+    # the cap-64 sweep of the benchmark triggered about 140 collections that
+    # found no garbage; paused, it triggers none, and the promotion leaves no
+    # young-generation pass due when the collector is on again
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.enable()
+    gc.collect()  # zero the allocation counts, so no pass is already due
+    gc.callbacks.append(count)
+    try:
+        claim = _cold_sweep()
+    finally:
+        gc.callbacks.remove(count)
+    assert claim.detail == "2974 queries, 0 disagreements"
+    assert passes == []
+
+
+def test_sweep_makes_no_reference_cycles(collector_state):
+    # the premise of the pause: what the collector would have looked for is
+    # not there. The collector stays off from before the sweep to the
+    # count, so no pass can have taken a cycle away first
+    gc.collect()
+    gc.disable()
+    claim = _cold_sweep()
+    assert claim.status == "pass"
+    assert gc.collect() == 0
+
+
 def test_fusion_agreement_sees_an_oracle_off_by_one(monkeypatch):
     import liefusion.verify as verify
     from liefusion.affine import AffineWeight
@@ -293,15 +395,27 @@ def test_fusion_agreement_sees_an_oracle_off_by_one(monkeypatch):
         in claim.detail
 
 
+def _moved_in_reduced_suite():
+    """(claim, status, recorded status) of every claim of the reduced suite
+    whose result differs from its recorded report, and the new details."""
+    import json
+    import pathlib
+
+    got = json.loads(verify_full(seed=11, cap=16, cutoffs=(3, 4), levels=(1,)).to_json())
+    golden = pathlib.Path(__file__).with_name("reduced_suite_seed11.json")
+    want = json.loads(golden.read_text())
+    assert [a["claim"] for a in got["results"]] == [b["claim"] for b in want["results"]]
+    moved = [(a, b) for a, b in zip(got["results"], want["results"]) if a != b]
+    return ([(a["claim"], a["status"], b["status"]) for a, b in moved],
+            [a["detail"] for a, _ in moved])
+
+
 def test_g2_graph_sees_a_dropped_loop(monkeypatch):
     # L(1,0) (x) L(1,0) without its L(1,0), as g2_tensor_graph sees it: the
     # 7-dim node loses its loop, g2-tensor-graph FAILs on it, and no other
     # claim of the reduced suite moves from its recorded report. The drop is
     # scoped to the graph: level-saturation reads the same Klimyk query
     # through tensor_multiplicity and would FAIL with it
-    import json
-    import pathlib
-
     import liefusion.tensor as tensor
     import liefusion.verify as verify
 
@@ -320,15 +434,9 @@ def test_g2_graph_sees_a_dropped_loop(monkeypatch):
             return real_graph(height)
 
     monkeypatch.setattr(verify, "g2_tensor_graph", graph_without_loop)
-    got = json.loads(verify_full(seed=11, cap=16, cutoffs=(3, 4), levels=(1,)).to_json())
-    golden = pathlib.Path(__file__).with_name("reduced_suite_seed11.json")
-    want = json.loads(golden.read_text())
-    assert len(got["results"]) == len(want["results"])
-    moved = [(a, b) for a, b in zip(got["results"], want["results"]) if a != b]
-    assert [(a["claim"], a["status"], b["status"]) for a, b in moved] == [
-        ("g2-tensor-graph", "fail", "pass")]
-    assert moved[0][0]["detail"] == ("9 nodes, 19 edges; "
-                                     "first mismatch ((1, 0), (1, 0), False, True)")
+    moved, details = _moved_in_reduced_suite()
+    assert moved == [("g2-tensor-graph", "fail", "pass")]
+    assert details == ["9 nodes, 19 edges; first mismatch ((1, 0), (1, 0), False, True)"]
 
 
 # -- negative controls: the e8 and cocycle claims must see one wrong sign -----
@@ -519,3 +627,71 @@ def test_embedding_build_failure_is_reported_alone(monkeypatch):
     e8 = {c: v for c, v in want.items() if c.startswith("e8-")}
     assert len(e8) == 4
     assert got == {**e8, "embedding-build": ("fail", "a raising word evaluated to zero")}
+
+
+# -- negative controls: the lattice, saturation and spin claims ---------------
+
+
+def test_lattice_fusion_claim_sees_one_flipped_query(monkeypatch):
+    # A1 at level 1: L(1) (x) L(1) holds L(0); the lattice rule, flipped on
+    # that one query, says it does not. The claim's detail counts queries
+    # only, so the status is all that moves
+    from fractions import Fraction
+
+    import liefusion.verify as verify
+
+    real = verify.lattice_fusion
+    half, zero = (Fraction(1, 2),), (Fraction(0),)
+
+    def flipped(lat, lam0, mu0, nu0):
+        r = real(lat, lam0, mu0, nu0)
+        if lat.rank == 1 and (tuple(lam0), tuple(mu0), tuple(nu0)) == (half, half, zero):
+            assert r == 1
+            return 0
+        return r
+
+    monkeypatch.setattr(verify, "lattice_fusion", flipped)
+    moved, details = _moved_in_reduced_suite()
+    assert moved == [("lattice-fusion-level1", "fail", "pass")]
+    assert details == ["61 queries on the three root lattices"]
+
+
+def test_level_saturation_claim_sees_one_disagreeing_query(monkeypatch):
+    # the spin charge of B2 at level 1: L(0,1) (x) L(0,1) holds L(0,0) once,
+    # at level 1 and in the finite tensor product; the perturbed check
+    # reads the fusion side as 2
+    import liefusion.verify as verify
+    from liefusion.affine import AffineWeight, LevelReductionResult
+
+    real = verify.large_level_check
+    b2 = AlgebraId("B", 2)
+    spin, zero = (AffineWeight(Weight.from_fundamental(b2, f), 1) for f in ([0, 1], [0, 0]))
+
+    def disagreeing(q):
+        r = real(q)
+        if (q.lam, q.mu, q.nu) == (spin, spin, zero):
+            assert r.applicable and r.fusion == r.tensor == 1
+            return LevelReductionResult(True, r.fusion + 1, r.tensor)
+        return r
+
+    monkeypatch.setattr(verify, "large_level_check", disagreeing)
+    moved, details = _moved_in_reduced_suite()
+    assert moved == [("level-saturation", "fail", "pass")]
+    assert details == [f"saturation failed at {spin},{spin},{zero}"]
+
+
+def test_spin_dimensions_claim_sees_a_dimension_off_by_one(monkeypatch):
+    # the second spin module of D3 read as 5-dimensional; D3 is in no other
+    # check of the suite, so no other claim moves
+    import liefusion.verify as verify
+
+    real = verify.weyl_dimension
+    d3 = AlgebraId("D", 3)
+
+    def off_by_one(lam):
+        return real(lam) + ((lam.algebra, lam.fundamental) == (d3, (0, 0, 1)))
+
+    monkeypatch.setattr(verify, "weyl_dimension", off_by_one)
+    moved, details = _moved_in_reduced_suite()
+    assert moved == [("spin-dimensions", "fail", "pass")]
+    assert details == ["n=2: 4,4,5; n=3: 8,8,8; n=4: 16,16,16; n=5: 32,32,32"]
