@@ -132,7 +132,7 @@ def casimir_eigenvalue(lam: Weight) -> Fraction:
     # scale: the highest-root coroot has squared length 2. H_theta = sum of
     # comark_i H_i acts on weight block f by sum_i comark_i f_i
     coro = build_root_system(lam.algebra).comarks
-    tr_ht = sum(mod.block_dim[f] * sum(map(mul, coro, f)) ** 2 for f in mod.blocks)
+    tr_ht = sum(k * sum(map(mul, coro, f)) ** 2 for f, k in mod.block_dim.items())
 
     # trace form = (tr_ht / 2) * normalized form, so the Casimir is
     # sum_ij (tr_ht / 2) (tr^-1)_ij X_i X_j = tr_ht / (2 d) * cas, with
@@ -280,22 +280,20 @@ def closed_form_fusion(q: FusionQuery) -> int | None:
 # generating families and compression preconditions
 
 
-def generating_check(family, level: int, algebra: AlgebraId | None = None):
-    """Reachability of every admissible from the family under fusion.
+def generating_check(family, level: int, algebra: AlgebraId):
+    """Reachability of every admissible of the algebra from the family under
+    fusion at the level.
 
-    Returns (flag, chains) where chains maps each reached weight to the
-    (charge, source) step that first produced it.
+    The family holds weights of the algebra, each admissible at the level
+    (ValueError otherwise). Returns (flag, chains) where chains maps each
+    reached weight to the (charge, source) step that first produced it.
     """
-    family = [w if isinstance(w, AffineWeight) else AffineWeight(w, level) for w in family]
-    if algebra is None:
-        if not family:
-            raise ValueError("need the algebra when the family is empty")
-        algebra = family[0].finite_part.algebra
     admissible = [w.finite_part.fundamental for w in admissible_weights(algebra, level)]
     charges = set()
     for w in family:
-        charges.add(w.finite_part.fundamental)
-        charges.add(dual_weight(w.finite_part).fundamental)
+        AffineWeight(w, level)  # refuses a weight that is not admissible
+        charges.add(w.fundamental)
+        charges.add(dual_weight(w).fundamental)
     if not family:
         only_vacuum = admissible == [(0,) * algebra.rank]
         return only_vacuum, {}
@@ -364,8 +362,7 @@ def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
     Conditions (b) and (c) evaluate the stated pairings with an explicit
     intertwiner and exact module vectors.
     """
-    char = full_character(lam)
-    if any(m > 1 for m in char.mults.values()):
+    if any(m > 1 for m in full_character(lam).weights.values()):
         raise HypothesisViolation("charge weight spaces exceed dimension 1")
     pair_max = max(theta_pairing(lam), theta_pairing(mu1), theta_pairing(nu1))
     if pair_max != a:
@@ -389,8 +386,7 @@ def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
     if t is not None and mu == mu1 + rho and tensor_multiplicity(
         TensorQuery(nu1, rho, nu)
     ) >= 1:
-        nu1_char = full_character(nu1)
-        if all(m <= 1 for m in nu1_char.mults.values()):
+        if all(m <= 1 for m in full_character(nu1).weights.values()):
             mod = t.mlam
             if w in mod.block_dim:
                 img = t.apply_pair(w, 0, mu1.fundamental, 0)
@@ -399,14 +395,13 @@ def level_reduction_conditions(lam: Weight, mu: Weight, nu: Weight, rho: Weight,
     if t is not None and nu == nu1 + rho and tensor_multiplicity(
         TensorQuery(mu1, rho, mu)
     ) >= 1:
-        mu1_char = full_character(mu1)
-        if all(m <= 1 for m in mu1_char.mults.values()):
+        if all(m <= 1 for m in full_character(mu1).weights.values()):
             mod = t.mlam
             top_nu1 = (nu1.fundamental, 0)
             if w in mod.block_dim:
                 found = False
-                for f2 in t.mmu.blocks:
-                    for b in range(t.mmu.block_dim[f2]):
+                for f2, d2 in t.mmu.block_dim.items():
+                    for b in range(d2):
                         img = t.apply_pair(w, 0, f2, b)
                         if img.get(top_nu1):
                             found = True

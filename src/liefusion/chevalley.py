@@ -9,8 +9,8 @@ inner product is normalized so long roots have squared length 2.
 The signs are read from per-root integer tables built once per algebra (the
 negative, the Cartan pairings and two parity masks of each root; see
 `StructureAlgebra`), so `bracket` and `star` build no tuple but the sum of
-two roots and keep no table over pairs. Coefficients are ints: `x` and `h`
-hand out 1, and brackets, stars, sums and the Lie closures below stay in
+two roots and keep no table over pairs. Coefficients are ints: `x` hands
+out 1, and brackets, stars, sums and the Lie closures below stay in
 int arithmetic. A Fraction appears only where something divides: an
 eigenvalue (`_eigenvalue`), a normalized coroot (`coroot_normalized`), the
 embedding index (`dynkin_index`), and the restricted weights that
@@ -74,7 +74,6 @@ class StructureAlgebra:
         self.rank = n = algebra.rank
         self.cartan = cartan = rs.cartan_matrix
         self.roots = rs.root_coord_set
-        self.positive_roots = rs.positive_root_coords
         self.dim = self.rank + len(self.roots)
         units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
         self._neg = {r: tuple(-c for c in r) for r in self.roots}
@@ -87,9 +86,6 @@ class StructureAlgebra:
         }
 
     # -- basic constructors -------------------------------------------------
-    def h(self, i: int) -> Element:
-        return {("h", i): 1}
-
     def x(self, root) -> Element:
         root = tuple(int(c) for c in root)
         if root not in self.roots:
@@ -616,10 +612,9 @@ def zero_weight_split_witness(n: int) -> dict:
         raise VerificationError(f"folded submodule has dim {dim}")
 
     offsets = mod._offsets()
-    blocks = list(mod.blocks)
     # the two blocks restricting to zero under the first n coroots
     zero_blocks = [
-        f for f in blocks
+        f for f in mod.block_dim
         if all(f[i] == 0 for i in range(n - 1)) and f[n - 1] == -f[n]
     ]
     if len(zero_blocks) != 2:
@@ -629,8 +624,8 @@ def zero_weight_split_witness(n: int) -> dict:
     zero_vecs = []
     for v in span.basis():
         support = {
-            f for f in blocks
-            if any(offsets[f] + k in v for k in range(mod.block_dim[f]))
+            f for f, k in mod.block_dim.items()
+            if any(offsets[f] + b in v for b in range(k))
         }
         if support and support <= set(zero_blocks):
             zero_vecs.append((v, support))
@@ -640,7 +635,7 @@ def zero_weight_split_witness(n: int) -> dict:
     split = support == set(zero_blocks)
     # part (a): nonzero-weight blocks are swallowed whole
     whole = True
-    for f in blocks:
+    for f in mod.block_dim:
         if f in zero_blocks:
             continue
         if span.reduce({offsets[f]: 1}):

@@ -159,7 +159,6 @@ class FockSpace:
 
     def __init__(self, space: ChargeSpace, cutoff: int):
         self.space = space
-        self.cutoff = cutoff
         self.levels = {l: _states(space.rank, l) for l in range(cutoff + 1)}
         # memos that live and die with this space
         self._gram_cache: dict = {}
@@ -319,8 +318,6 @@ class _ModeFamily:
 class ModeMatrix:
     """One mode of a charged intertwiner between truncated Fock bases."""
 
-    source_charge: tuple
-    target_charge: tuple
     shift: int
     blocks: dict            # src level -> (numerators, den), tgt rows x src cols
     space: FockSpace        # the Fock basis of both the source and the target
@@ -361,14 +358,12 @@ def heisenberg_mode(space: ChargeSpace, alpha, mu, s, cutoff: int) -> ModeMatrix
     x^{(a|mu)}; its mode of index s shifts levels by -s - 1 - (a|mu).
     """
     alpha = tuple(Fraction(x) for x in alpha)
-    mu = tuple(Fraction(x) for x in mu)
     s = Fraction(s)
     shift_f = -s - 1 - space.pairing(alpha, mu)
     if shift_f.denominator != 1:
         raise ValueError(f"mode {s} is off the charge grid for this sector")
     shift = int(shift_f)
-    return ModeMatrix(mu, tuple(a + m for a, m in zip(alpha, mu)),
-                      shift, oscillator_mode(space, alpha, shift, cutoff),
+    return ModeMatrix(shift, oscillator_mode(space, alpha, shift, cutoff),
                       _fock_space(space, cutoff))
 
 
@@ -581,8 +576,7 @@ def adjoint_phase_check(space: ChargeSpace, alpha, beta, cutoff: int) -> dict:
                        for x, y in zip(o_row, row)), default=0)
             worst = max(worst, top / (den * o_den))
             checked += len(nums) * len(nums[0])
-    return {"max_deviation": worst, "entries_checked": checked,
-            "phase": phase, "phase_exponent_half_turns": float(delta)}
+    return {"max_deviation": worst, "entries_checked": checked, "phase": phase}
 
 
 def _leading_coefficients(space: ChargeSpace, first, second, cutoff: int):
@@ -603,23 +597,25 @@ def _leading_coefficients(space: ChargeSpace, first, second, cutoff: int):
     return out
 
 
-def braid_phase_check(space: ChargeSpace, alpha, beta, gamma, cutoff: int,
-                      points=None) -> dict:
+# (arg z1, arg z2) of the braid check's sample points on the unit circle,
+# each with arg z2 < arg z1 < arg z2 + 2 pi
+_BRAID_POINTS = ((2.1, 0.7), (3.0, 0.2), (4.4, 1.9))
+
+
+def braid_phase_check(space: ChargeSpace, alpha, beta, gamma, cutoff: int) -> dict:
     """Ratio of the two orderings of the leading triple matrix element.
 
     Both orderings of <top| Y_alpha(z1) Y_beta(z2) |bottom> are evaluated
-    through truncated mode sums on the unit circle with
-    arg z2 < arg z1 < arg z2 + 2 pi, and the ratio is compared to
-    e^{i pi (alpha|beta)}. The factorization of each ordering against
-    z1^(a|c) z2^(b|c) (z1-z2)^(a|b) is reported as well.
+    through truncated mode sums at the points ``_BRAID_POINTS`` on the unit
+    circle, and the ratio is compared to e^{i pi (alpha|beta)}. The
+    factorization of each ordering against z1^(a|c) z2^(b|c) (z1-z2)^(a|b)
+    is reported as well.
     """
     _check_cutoff(cutoff)
     alpha = [Fraction(x) for x in alpha]
     beta = [Fraction(x) for x in beta]
     gamma = [Fraction(x) for x in gamma]
     ab = space.pairing(alpha, beta)
-    if points is None:
-        points = [(2.1, 0.7), (3.0, 0.2), (4.4, 1.9)]
     if ab < 0:
         raise ValueError(
             "non-convergent configuration: equal-modulus contours need a "
@@ -636,10 +632,7 @@ def braid_phase_check(space: ChargeSpace, alpha, beta, gamma, cutoff: int,
     expected = cmath.exp(1j * math.pi * float(ab))
     worst = 0.0
     worst_fact = 0.0
-    details = []
-    for th1, th2 in points:
-        if not th2 < th1 < th2 + 2 * math.pi:
-            raise ValueError("sample point violates the argument ordering")
+    for th1, th2 in _BRAID_POINTS:
         z_pow = lambda th, t: cmath.exp(1j * th * float(t))
         w12 = cmath.exp(1j * (th2 - th1))
         f = z_pow(th1, abg) * z_pow(th2, bg) * sum(
@@ -649,16 +642,13 @@ def braid_phase_check(space: ChargeSpace, alpha, beta, gamma, cutoff: int,
         g = z_pow(th2, bag) * z_pow(th1, ag) * sum(
             complex(float(c)) * w21 ** l for l, c in enumerate(ds)
         )
-        ratio = f / g
-        worst = max(worst, abs(ratio - expected))
+        worst = max(worst, abs(f / g - expected))
         # factorization: F = z1^(a|c) z2^(b|c) z1^(a|b) (1 - z2/z1)^(a|b)
         fact = (z_pow(th1, ag) * z_pow(th2, bg) * z_pow(th1, ab)
                 * (1 - w12) ** float(ab))
         worst_fact = max(worst_fact, abs(f - fact))
-        details.append({"z1_arg": th1, "z2_arg": th2, "ratio": ratio})
     return {
         "max_deviation": worst,
         "expected_phase": expected,
         "factorization_deviation": worst_fact,
-        "points": details,
     }

@@ -117,12 +117,14 @@ def weyl_dimension(lam: Weight) -> int:
 
 @dataclass(frozen=True)
 class DominantCharacter:
-    """Multiplicities of an irreducible: the dominant part and the full table."""
+    """Multiplicities of an irreducible: one table over every weight.
+
+    Its dominant part is the entries with no negative coordinate, in the
+    order of increasing depth; its dimension is the sum of its values.
+    """
 
     highest_weight: Weight
-    mults: dict  # dominant fundamental tuple -> positive int, by increasing depth
     weights: dict  # fundamental tuple of every weight -> positive int
-    dim: int
 
 
 @lru_cache(maxsize=None)
@@ -182,11 +184,9 @@ def dominant_character(lam: Weight) -> DominantCharacter:
                     new.append(g)
         frontier = new
     # increasing depth, and decreasing t lexicographically within one depth:
-    # a fixed order, which mults, weights and every table built from them
-    # inherit
+    # a fixed order, which weights and every table built from it inherit
     chain = sorted(depth, key=lambda f: (sum(depth[f]), [-x for x in depth[f]]))
 
-    mults: dict = {lam_f: 1}
     weights = dict.fromkeys(weyl_orbit_fund(aid, lam_f), 1)
     # the string sums of every dominant weight done so far, per positive
     # root a: nu -> [(S1, S2), ...], S1 = sum_k m(nu + k a) and
@@ -231,7 +231,6 @@ def dominant_character(lam: Weight) -> DominantCharacter:
                 f"in L({lam}) is not a nonnegative integer"
             )
         if val:
-            mults[f] = val
             weights.update(dict.fromkeys(weyl_orbit_fund(aid, f), val))
             done[f] = sums
 
@@ -239,7 +238,7 @@ def dominant_character(lam: Weight) -> DominantCharacter:
     wd = weyl_dimension(lam)
     if dim != wd:
         raise InvariantError(f"character dimension {dim} of L({lam}) != Weyl formula {wd}")
-    return DominantCharacter(lam, mults, weights, dim)
+    return DominantCharacter(lam, weights)
 
 
 def weight_multiplicity(lam: Weight, mu: Weight) -> int:
@@ -268,13 +267,12 @@ class ModuleRealization:
     int den > 0 sharing no factor, the block being numerators / den.
     ``gram[f]`` is the contravariant Gram matrix of block f, in ints.
     ``parent[(f, k)]`` records which F_i(previous basis vector) the k-th
-    basis vector of block f is.
+    basis vector of block f is. ``block_dim`` holds the blocks in build
+    order, the highest weight first; that is the order of the basis.
     """
 
     def __init__(self, lam: Weight):
         self.algebra = lam.algebra
-        self.highest_weight = lam
-        self.blocks: list[tuple] = []  # fundamental tuples in build order
         self.block_dim: dict = {}
         self.gram: dict = {}
         self.f_block: dict = {}
@@ -284,9 +282,9 @@ class ModuleRealization:
 
     def _offsets(self) -> dict:
         off, at = {}, 0
-        for f in self.blocks:
+        for f, k in self.block_dim.items():
             off[f] = at
-            at += self.block_dim[f]
+            at += k
         return off
 
     def full_matrix(self, kind: str, i: int) -> tuple[list[list[int]], int]:
@@ -295,8 +293,8 @@ class ModuleRealization:
         off = self._offsets()
         m = [[0] * self.dim for _ in range(self.dim)]
         if kind == "H":
-            for f in self.blocks:
-                for k in range(self.block_dim[f]):
+            for f, size in self.block_dim.items():
+                for k in range(size):
                     m[off[f] + k][off[f] + k] = f[i]
             return m, 1
         step = 1 if kind == "E" else -1
@@ -358,7 +356,6 @@ def realize_module(lam: Weight) -> ModuleRealization:
         by_depth.setdefault(d, []).append(f)
 
     mod = ModuleRealization(lam)
-    mod.blocks.append(top)
     mod.block_dim[top] = 1
     mod.gram[top] = [[1]]
     mod.dim = 1
@@ -410,7 +407,6 @@ def realize_module(lam: Weight) -> ModuleRealization:
                 if rank != target_rank:
                     raise rank_error(rank, f, 1)
                 q = math.gcd(num, den)
-                mod.blocks.append(f)
                 mod.block_dim[f] = 1
                 mod.gram[f] = [[x]]
                 mod.parent[(f, 0)] = (i, 0)
@@ -477,7 +473,6 @@ def realize_module(lam: Weight) -> ModuleRealization:
             red, den, pivots = rank_one or linalg.rref(g)
             if len(pivots) != target_rank:
                 raise rank_error(len(pivots), f, len(cands))
-            mod.blocks.append(f)
             mod.block_dim[f] = target_rank
             mod.gram[f] = [[g[a][b] for b in pivots] for a in pivots]
             for k, c in enumerate(pivots):
@@ -526,10 +521,10 @@ class IntertwinerMap:
 def _pair_basis(mlam: ModuleRealization, mmu: ModuleRealization, kappa) -> list:
     """Pair basis vectors (f1, f2, a, b) with f1 + f2 = kappa (fund coords)."""
     basis = []
-    for f1 in mlam.blocks:
+    for f1, d1 in mlam.block_dim.items():
         f2 = tuple(k - x for k, x in zip(kappa, f1))
         if f2 in mmu.block_dim:
-            basis.extend((f1, f2, a, b) for a in range(mlam.block_dim[f1])
+            basis.extend((f1, f2, a, b) for a in range(d1)
                          for b in range(mmu.block_dim[f2]))
     return basis
 
@@ -588,8 +583,8 @@ def hom_space_basis(lam: Weight, mu: Weight, nu: Weight) -> list[IntertwinerMap]
     for w in highest_weight_vectors(mlam, mmu, nu):
         # S: L(nu) -> L(lam) (x) L(mu), S(top) = w, extended by lowerings
         svecs = {(nu.fundamental, 0): w}
-        for f in mnu.blocks:
-            for k in range(mnu.block_dim[f]):
+        for f, r in mnu.block_dim.items():
+            for k in range(r):
                 if (f, k) not in svecs:
                     j, b = mnu.parent[(f, k)]
                     src = tuple(x + y for x, y in zip(f, cartan[j]))
@@ -599,8 +594,7 @@ def hom_space_basis(lam: Weight, mu: Weight, nu: Weight) -> list[IntertwinerMap]
         # rhs[(f1, f2, a, b)][k] = <S v_k, e_a (x) e_b>, summed from the Gram
         # rows, then T e_a (x) e_b = G_f^-1 rhs
         columns: dict = {}
-        for f in mnu.blocks:
-            r = mnu.block_dim[f]
+        for f, r in mnu.block_dim.items():
             rhs: dict = {}
             for k in range(r):
                 for (f1, f2, c, d), coef in svecs[(f, k)].items():

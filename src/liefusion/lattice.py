@@ -6,9 +6,8 @@ rational coordinates pairing integrally with the basis. Unit-modulus phases
 are carried exactly as rational exponents t standing for e^{i pi t}.
 
 Bilinear forms are carried as integer matrices over one fixed denominator,
-linalg's (numerators, den) pairs (1 for the Gram matrix and the commutator
-form, the square of the inverse Gram's den for the dual cocycle's exponent
-form). A rational vector is scaled to integers over the lcm of
+linalg's (numerators, den) pairs (1 for the Gram matrix, the square of the
+inverse Gram's den for the dual cocycle's exponent form). A rational vector is scaled to integers over the lcm of
 its denominators, so every pairing is an integer sum and one Fraction per
 result, reduced mod 2 in integers where it is a phase exponent; lattice
 vectors with int coordinates need no scaling at all. Every vector is checked
@@ -17,17 +16,11 @@ cut or padded.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
 from .linalg import det, int_bilinear, inverse, matmul, scaled_vector
-
-
-def phase_value(t: Fraction) -> complex:
-    return cmath.exp(1j * math.pi * float(t))
 
 
 @dataclass(frozen=True)
@@ -166,20 +159,13 @@ class DualCocycle:
         qinv = inverse(q)
         t, d = matmul(matmul(qinv, (r, 1)), qinv)
         s = [[t[i][j] if i > j else 0 for j in range(n)] for i in range(n)]
-        # both forms are integer matrices over a fixed denominator (r's is 1)
+        # an integer matrix over a fixed denominator
         self._w, self._w_den = matmul(matmul((q, 1), (s, d)), (q, 1))
-        self._r = r
 
     def exponent(self, x, y) -> Fraction:
         """t with eps(x, y) = e^{i pi t}, reduced mod 2."""
         t, d = _bilinear(self.lattice, self._w, x, y)
         return _mod2(t, d * self._w_den)
-
-    def value(self, x, y) -> complex:
-        return phase_value(self.exponent(x, y))
-
-    def commutator_exponent(self, x, y) -> Fraction:
-        return _mod2(*_bilinear(self.lattice, self._r, x, y))
 
 
 def _bilinear(lat: IntegralLattice, m, x, y) -> tuple[int, int]:

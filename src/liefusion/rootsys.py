@@ -195,7 +195,6 @@ class RootSystem:
         n = algebra.rank
         cartan, d = _cartan_and_lengths(algebra)
         self.cartan_matrix = cartan
-        self._d = d
         # 6 d_j is an integer (d_j is 1, 1/2 or 1/3)
         d6 = [int(6 * x) for x in d]
         self.gram6 = [[cartan[i][j] * d6[j] for j in range(n)] for i in range(n)]
@@ -206,8 +205,6 @@ class RootSystem:
         self.form = [[self.cartan_adjugate[i][j] * d6[j] for j in range(n)] for i in range(n)]
         self.form_den = 6 * self.cartan_det
 
-        # the fundamental coordinates of a_i are the row cartan[i]
-        self.simple_roots = [Weight(algebra, tuple(row)) for row in cartan]
         self.fundamental_weights = [
             Weight(algebra, tuple(1 if k == i else 0 for k in range(n))) for i in range(n)
         ]

@@ -170,7 +170,6 @@ def _g2_nodes(height_cap: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class TensorGraph:
-    height_cap: int
     nodes: tuple
     edges: frozenset  # unordered pairs incl. loops (a, a)
 
@@ -205,4 +204,4 @@ def g2_tensor_graph(height_cap: int) -> TensorGraph:
                         f"L({key}) occurs {m} times in L(1,0) x L({mu_f}), expected once"
                     )
                 edges.add(tuple(sorted((mu_f, key))))
-    return TensorGraph(height_cap, tuple(nodes), frozenset(edges))
+    return TensorGraph(tuple(nodes), frozenset(edges))

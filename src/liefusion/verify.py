@@ -594,15 +594,22 @@ def verify_e8(seed: int = 7) -> VerificationReport:
     pair = check_exceptional_pair(report)
     if pair is not None:
         check_branch_and_index(report, pair)
-        check_pairing_witnesses(report)
+    # the pairing witnesses read no part of the pair
+    check_pairing_witnesses(report)
     return report
 
 
 def verify_full(seed: int = 7, cap: int = 512, cutoffs=(8, 12, 16),
                  levels=(1, 2, 3)) -> VerificationReport:
-    # usage errors, raised before any check runs
+    # usage errors, raised before any check runs: a sweep, a probe or a
+    # fusion sweep over nothing would pass on no queries
+    if cap < 1:
+        raise ValueError(f"the sweep size must be >= 1, got {cap}")
     check_cap(cap, "sweep size")
     cutoffs = probe_cutoffs(cutoffs)
+    levels = tuple(levels)
+    if not levels or not all(type(x) is int and x > 0 for x in levels):
+        raise ValueError(f"the fusion levels must be positive integers, got {list(levels)}")
     report = VerificationReport("full")
     check_e8_construction(report, seed)
     pair = check_exceptional_pair(report)

@@ -248,19 +248,19 @@ def test_paper_rule_matches_oracle_levels_1_to_3():
 def test_generating_families():
     b2, c2, d4 = AlgebraId("B", 2), AlgebraId("C", 2), AlgebraId("D", 4)
     for level in (1, 2, 3):
-        ok, chains = generating_check([W(b2, [0, 1])], level)
+        ok, chains = generating_check([W(b2, [0, 1])], level, b2)
         assert ok
-        ok, _ = generating_check([W(c2, [1, 0])], level)
+        ok, _ = generating_check([W(c2, [1, 0])], level, c2)
         assert ok
-        ok, _ = generating_check([W(d4, [0, 0, 1, 0]), W(d4, [0, 0, 0, 1])], level)
+        ok, _ = generating_check([W(d4, [0, 0, 1, 0]), W(d4, [0, 0, 0, 1])], level, d4)
         assert ok
-        ok, _ = generating_check([W(G2, [1, 0])], level)
+        ok, _ = generating_check([W(G2, [1, 0])], level, G2)
         assert ok
     # level zero: only the vacuum, trivially generating
-    ok, chains = generating_check([], 0, algebra=b2)
+    ok, chains = generating_check([], 0, b2)
     assert ok and chains == {}
     # the vector weight alone does not generate the spin sector at level 1
-    ok, _ = generating_check([W(b2, [1, 0])], 1)
+    ok, _ = generating_check([W(b2, [1, 0])], 1, b2)
     assert not ok
 
 

@@ -166,7 +166,7 @@ def test_diagonal_embedding_index_adds():
         assert dynkin_index(sub) == n
         # matrix identity: Gram of the closure equals n times the rank-1 Gram
         a1 = build_simply_laced(AlgebraId("A", 1))
-        small = [a1.x((1,)), a1.star(a1.x((1,))), a1.h(0)]
+        small = [a1.x((1,)), a1.star(a1.x((1,))), {("h", 0): 1}]
         big = [gen, alg.star(gen), alg.bracket(gen, alg.star(gen))]
         for u, bu in zip(small, big):
             for v, bv in zip(small, big):

@@ -249,6 +249,19 @@ def test_verify_paper_cap_above_module_cap(capsys, monkeypatch):
     assert "sweep size = 17 exceeds cap 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_verify_paper_cap_below_one_before_any_check(capsys, monkeypatch, cap):
+    # a sweep over no pair of modules would pass on 0 queries
+    import liefusion.verify as verify
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_e8_construction", no_check)
+    assert main(["verify-paper", f"--cap={cap}", "--cutoffs", "3,4", "--levels", "1"]) == 2
+    assert f"the sweep size must be >= 1, got {cap}" in capsys.readouterr().err
+
+
 def test_verify_paper_negative_cutoff_before_any_check(capsys, monkeypatch):
     # a negative cutoff is refused before the first check, like a bad --cap
     import liefusion.verify as verify

@@ -436,8 +436,6 @@ def test_charged_mode_grading_and_lowest_element():
     assert mm.shift == 4 - 1 - 2  # -(-4) - 1 - (1|1)
     low = heisenberg_mode(TWO, [1], [0], Fraction(-1), 5)
     assert _exact(low.blocks[0])[0][0] == 1
-    assert low.source_charge == (Fraction(0),)
-    assert low.target_charge == (Fraction(1),)
     # one charge-free Fock basis serves every sector at this cutoff
     assert low.space is mm.space is _fock_space(TWO, 5)
 
@@ -458,7 +456,6 @@ def test_off_grid_mode_rejected():
 
 def test_charge_conservation():
     mm = heisenberg_mode(TWO, [1], [2], Fraction(-3), 4)
-    assert mm.target_charge == (Fraction(3),)
     # nonzero entries only between the stated sectors: encoded by block map
     assert all(0 <= l + mm.shift <= 4 for l in mm.blocks)
 
@@ -711,8 +708,6 @@ def test_braid_rejects_bad_configuration():
     neg = ChargeSpace([[2, -1], [-1, 2]])
     with pytest.raises(ValueError, match="non-convergent"):
         braid_phase_check(neg, [1, 0], [0, 1], [0, 0], 6)
-    with pytest.raises(ValueError, match="argument ordering"):
-        braid_phase_check(UNIT, [1], [1], [1], 6, points=[(0.5, 1.0)])
 
 
 def _heisenberg_claims():
@@ -744,6 +739,27 @@ def test_braid_phase_claim_sees_a_raised_leading_coefficient(monkeypatch):
     assert after.pop("braid-phase")[0] == "fail"
     del before["braid-phase"]
     assert after == before
+
+
+def test_energy_bound_order0_claim_sees_a_charge_of_norm_three(monkeypatch):
+    # the order-0 probe handed a charge of norm 3: its norms grow from
+    # cutoff 2 to 3 (sqrt 7 to sqrt 10), so its trend FAILs. At norm 2 they
+    # read 2.0 at both cutoffs, which passes. The order-1 probe is left as
+    # it is
+    import liefusion.verify as verify
+
+    real = verify.energy_bound_probe
+
+    def norm_three(space, alpha, order, cutoffs, **kwargs):
+        if order == 0:
+            space = ChargeSpace([[3]])
+        return real(space, alpha, order, cutoffs, **kwargs)
+
+    before = _heisenberg_claims()
+    assert before["energy-bound-order0"] == ("pass", "maxima {2: 1.0, 3: 1.0}")
+    monkeypatch.setattr(verify, "energy_bound_probe", norm_three)
+    assert _heisenberg_claims() == {
+        **before, "energy-bound-order0": ("fail", "maxima {2: 2.645751, 3: 3.162278}")}
 
 
 def test_anticommutator_claim_sees_a_perturbed_block(monkeypatch):

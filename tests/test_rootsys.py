@@ -16,6 +16,12 @@ from liefusion.rootsys import (
 )
 from weight_reference import RefWeight, ref_inner_product, ref_to_dominant
 
+
+def simple_roots(rs):
+    """The simple roots: a_i has the fundamental coordinates cartan[i]."""
+    return [Weight(rs.algebra, tuple(row)) for row in rs.cartan_matrix]
+
+
 DIMS = {
     "A": lambda n: n * (n + 2),
     "B": lambda n: n * (2 * n + 1),
@@ -60,12 +66,11 @@ def test_root_counts_and_normalization(aid):
 @pytest.mark.parametrize("aid", ALL_IDS, ids=str)
 def test_cartan_matrix_reconstruction(aid):
     rs = build_root_system(aid)
-    n = aid.rank
-    for i in range(n):
-        for j in range(n):
-            ai, aj = rs.simple_roots[i], rs.simple_roots[j]
+    roots = simple_roots(rs)
+    for ai, row in zip(roots, rs.cartan_matrix):
+        for aj, entry in zip(roots, row):
             val = 2 * inner_product(ai, aj) / inner_product(aj, aj)
-            assert val == rs.cartan_matrix[i][j]
+            assert val == entry
 
 
 # det of the Cartan matrix, the order of the weight lattice modulo the roots
@@ -96,11 +101,11 @@ def test_cartan_adjugate(aid):
 def test_integer_forms(aid):
     rs = build_root_system(aid)
     n = aid.rank
+    roots = simple_roots(rs)
     for i in range(n):
-        ai = rs.simple_roots[i]
         for j in range(n):
             assert type(rs.gram6[i][j]) is int and type(rs.form[i][j]) is int
-            assert rs.gram6[i][j] == 6 * inner_product(ai, rs.simple_roots[j])
+            assert rs.gram6[i][j] == 6 * inner_product(roots[i], roots[j])
             # form / form_den is the form on fundamental coordinates
             wi, wj = rs.fundamental_weights[i], rs.fundamental_weights[j]
             assert Fraction(rs.form[i][j], rs.form_den) == ref_inner_product(wi, wj)
@@ -310,7 +315,7 @@ def test_root_system_weights_match_reference(aid):
     n = aid.rank
     for i in range(n):
         unit = [1 if k == i else 0 for k in range(n)]
-        assert rs.simple_roots[i].coords == RefWeight.from_root_coords(aid, unit).coords
+        assert simple_roots(rs)[i].coords == RefWeight.from_root_coords(aid, unit).coords
         assert rs.fundamental_weights[i].coords == RefWeight.from_fundamental(aid, unit).coords
     assert rs.weyl_vector.coords == RefWeight.from_fundamental(aid, [1] * n).coords
     assert [r.coords for r in rs.positive_roots] == [
@@ -320,5 +325,5 @@ def test_root_system_weights_match_reference(aid):
     theta = rs.highest_root
     assert list(rs.comarks) == [inner_product(w, theta) for w in rs.fundamental_weights]
     assert all(type(c) is int for c in rs.comarks)
-    for w in rs.simple_roots + rs.fundamental_weights + rs.positive_roots:
+    for w in simple_roots(rs) + rs.fundamental_weights + rs.positive_roots:
         assert all(type(x) is int for x in w.fundamental)

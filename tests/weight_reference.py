@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from liefusion import linalg
-from liefusion.rootsys import AlgebraId, build_root_system
+from liefusion.rootsys import AlgebraId, _cartan_and_lengths, build_root_system
 from liefusion.tensor import tensor_decomposition
 from rational_view import rational
 
@@ -75,7 +75,8 @@ def ref_inner_product(lam: RefWeight, mu: RefWeight) -> Fraction:
     """The Fraction Gram double sum over root coordinates."""
     rs = build_root_system(lam.algebra)
     n = lam.algebra.rank
-    gram = [[Fraction(rs.cartan_matrix[i][j]) * rs._d[j] for j in range(n)] for i in range(n)]
+    d = _cartan_and_lengths(lam.algebra)[1]  # the half square lengths
+    gram = [[Fraction(rs.cartan_matrix[i][j]) * d[j] for j in range(n)] for i in range(n)]
     return sum(
         (lam.coords[i] * gram[i][j] * mu.coords[j] for i in range(n) for j in range(n)),
         ZERO,
